@@ -1,17 +1,11 @@
 //! Global-vs-local rematch at scale: `reproduce -- rematch`.
 //!
-//! The modern successor of the old serial `baseline` comparison (see
-//! [`crate::baseline`]): instead of running one serial Cybenko sweep against
-//! the global kernel on a static graph, every contender now executes its
-//! real SPMD body inside the event-driven simulator, across full adaption
-//! cycles, at P = 64 / 256 / 1024 — with and without an injected 2× rank
-//! slowdown. Contenders:
+//! Every contender executes its real SPMD body inside the event-driven
+//! simulator, across full adaption cycles, at P = 64 / 256 / 1024 — with
+//! and without an injected 2× rank slowdown. Contenders:
 //!
 //! * **multilevel** — PLUM's global repartitioner (the paper's position),
-//! * **sfc_diffusion** — first-order SFC boundary diffusion (PR 6),
-//! * **diffusion2** — second-order (Chebyshev) diffusion over the
-//!   rank-adjacency graph,
-//! * **voronoi** — Voronoi / centroid-shift balancing in SFC key space.
+//! * **sfc_diffusion** — SFC boundary diffusion, the local balancer.
 //!
 //! Each `(method, P, chaos)` cell runs a per-rank-sized mesh
 //! (~[`REMATCH_ELEMS_PER_RANK`] initial elements per rank, like the
@@ -55,13 +49,9 @@ pub const REMATCH_PROCS: [usize; 3] = [64, 256, 1024];
 /// Initial elements per rank (the weak-scaling convention).
 pub const REMATCH_ELEMS_PER_RANK: usize = 16;
 
-/// The methods under comparison: the global kernel and the three locals.
-pub const REMATCH_METHODS: [BalanceMethod; 4] = [
-    BalanceMethod::Multilevel,
-    BalanceMethod::SfcDiffusion,
-    BalanceMethod::Diffusion2,
-    BalanceMethod::Voronoi,
-];
+/// The methods under comparison: the global kernel and the local one.
+pub const REMATCH_METHODS: [BalanceMethod; 2] =
+    [BalanceMethod::Multilevel, BalanceMethod::SfcDiffusion];
 
 /// Adaption cycles per grid cell (the refine fraction is the Real_1 case,
 /// [`crate::CASES`]`[0]`). Three cycles let the gain/cost model show its
@@ -463,12 +453,12 @@ pub fn print_rematch_chaos(run: &RematchChaosRun) {
 mod tests {
     use super::*;
 
-    /// One quick cell per local method at the smallest P: pinned method
-    /// actually runs, cycles are protocol-clean, and the cell's metrics
-    /// are populated.
+    /// One quick cell per method at a small P: pinned method actually
+    /// runs, cycles are protocol-clean, and the cell's metrics are
+    /// populated.
     #[test]
-    fn quick_rematch_cells_run_forced_locals() {
-        for method in [BalanceMethod::Diffusion2, BalanceMethod::Voronoi] {
+    fn quick_rematch_cells_run_forced_methods() {
+        for method in REMATCH_METHODS {
             let c = rematch_cell(method, 8, false);
             assert_eq!(c.method, method);
             assert_eq!(c.cycles, REMATCH_CYCLES);

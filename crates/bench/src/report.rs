@@ -175,7 +175,7 @@ pub fn fig6_mild_bench(scale: Scale) -> (BenchReport, String) {
         &keys,
         &vwgt,
         &prev,
-        Some(&prev),
+        &prev,
         p,
         &caps,
         p,

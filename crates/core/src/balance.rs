@@ -5,13 +5,7 @@ use std::time::Instant;
 
 use plum_mesh::DualGraph;
 use plum_parsim::TraceLog;
-use plum_partition::{
-    diffusion2_balance, diffusion2_balance_dual, dual_uniform, imbalance_weighted,
-    knapsack_partition, knapsack_partition_dual, partition_kway, partition_kway_dual,
-    repartition_kway_dual, repartition_kway_weighted, sfc_diffuse, sfc_diffuse_dual, sfc_partition,
-    sfc_partition_dual, voronoi_balance, voronoi_balance_dual, voronoi_partition,
-    voronoi_partition_dual, Graph,
-};
+use plum_partition::{dual_uniform, imbalance_weighted, multilevel_serial, sfc_diffuse, Graph};
 use plum_reassign::{
     greedy_mwbg, optimal_bmcm, optimal_mwbg, remap_stats, Assignment, RemapStats, SimilarityMatrix,
 };
@@ -22,30 +16,17 @@ use crate::timing::WorkModel;
 
 /// Which repartitioning method the portfolio policy chose for a cycle.
 ///
-/// The portfolio spans the spectrum production AMR stacks use: the paper's
-/// multilevel diffusive repartitioner for heavy, locality-sensitive
-/// rebalances; a full SFC split when geometry suffices; SFC boundary
-/// diffusion when the imbalance is mild enough that shifting a few range
-/// boundaries repairs it (Cubism's rule); LPT knapsack packing for the
-/// extreme-imbalance, locality-insensitive regime (AMReX's `makeKnapSack`);
-/// plus the two classical local schemes the paper rematches against:
-/// second-order diffusion over the rank-adjacency graph and Voronoi
-/// cell-growth on the SFC.
+/// Two modes, the split production AMR stacks such as Cubism use: the
+/// paper's multilevel diffusive repartitioner for every rebalance the
+/// policy cannot repair cheaply, and SFC boundary diffusion when the
+/// imbalance is mild enough that shifting a few curve-range boundaries
+/// repairs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalanceMethod {
     /// Multilevel diffusive graph repartitioning (the paper's §4.2 kernel).
     Multilevel,
     /// 1D-SFC boundary diffusion from the previous partition.
     SfcDiffusion,
-    /// Full SFC key-sort/split into capacity-weighted contiguous ranges.
-    Sfc,
-    /// LPT greedy knapsack packing by weight alone.
-    Knapsack,
-    /// Second-order (Chebyshev-accelerated) diffusion over the
-    /// rank-adjacency graph, seeded from the previous partition.
-    Diffusion2,
-    /// Voronoi / centroid-shift balancing in SFC key space.
-    Voronoi,
 }
 
 impl BalanceMethod {
@@ -53,23 +34,16 @@ impl BalanceMethod {
         match self {
             BalanceMethod::Multilevel => "multilevel",
             BalanceMethod::SfcDiffusion => "sfc_diffusion",
-            BalanceMethod::Sfc => "sfc",
-            BalanceMethod::Knapsack => "knapsack",
-            BalanceMethod::Diffusion2 => "diffusion2",
-            BalanceMethod::Voronoi => "voronoi",
         }
     }
 
     /// Stable numeric code for metrics (`balance.method` gauge); 0 means no
-    /// repartition happened.
+    /// repartition happened. Codes 3–6 belonged to retired methods and are
+    /// not reused.
     pub fn code(self) -> u32 {
         match self {
             BalanceMethod::Multilevel => 1,
             BalanceMethod::SfcDiffusion => 2,
-            BalanceMethod::Sfc => 3,
-            BalanceMethod::Knapsack => 4,
-            BalanceMethod::Diffusion2 => 5,
-            BalanceMethod::Voronoi => 6,
         }
     }
 }
@@ -272,21 +246,14 @@ pub(crate) fn partition_mode<'a>(
 /// path and every rank of the engine's SPMD session (all inputs are
 /// replicated, so every caller lands on the same method).
 ///
-/// The policy is two-tier, following the production pattern:
+/// The policy is Cubism's two-mode rule: a triggered cycle whose effective
+/// imbalance is at most `cfg.sfc_threshold` shifts curve-range boundaries
+/// instead of repartitioning ([`BalanceMethod::SfcDiffusion`]) — provided SFC
+/// keys exist and the previous partition can seed it. Every other cycle
+/// runs the multilevel kernel.
 ///
-/// 1. **Mild imbalance** (effective imbalance ≤ `cfg.sfc_threshold`, SFC
-///    keys present, previous partition seedable): shift curve-range
-///    boundaries instead of repartitioning — [`BalanceMethod::SfcDiffusion`].
-/// 2. Otherwise score each candidate with the existing gain/cost model on
-///    effective weights: predicted gain from the method's achievable
-///    `wmax`, predicted cost from its expected migration volume. The
-///    multilevel kernel predicts low movement when seeded (it drains only
-///    overflow); the geometric methods predict near-total reshuffles — so
-///    heavy-but-seeded cycles keep choosing multilevel, exactly as the
-///    committed fig6 baseline expects.
-///
-/// `cfg.force_method` pins the choice (degrading to the nearest runnable
-/// method when the pinned one needs keys or a seed that is absent).
+/// `cfg.force_method` pins the choice; a pinned diffusion that lacks keys
+/// or a seed falls back to multilevel.
 pub fn select_method(
     wcomp: &[u64],
     old_proc: &[u32],
@@ -295,117 +262,12 @@ pub fn select_method(
     has_keys: bool,
     seeded: bool,
 ) -> BalanceMethod {
-    if let Some(forced) = cfg.force_method {
-        return match forced {
-            BalanceMethod::SfcDiffusion if !(has_keys && seeded) => {
-                if has_keys {
-                    BalanceMethod::Sfc
-                } else {
-                    BalanceMethod::Multilevel
-                }
-            }
-            BalanceMethod::Sfc if !has_keys => BalanceMethod::Multilevel,
-            BalanceMethod::Diffusion2 if !seeded => BalanceMethod::Multilevel,
-            BalanceMethod::Voronoi if !has_keys => BalanceMethod::Multilevel,
-            m => m,
-        };
-    }
-
-    let nproc = cfg.nproc;
-    let w_old = per_proc_wcomp(wcomp, old_proc, nproc);
-    let uniform = caps_uniform(caps);
-    let (w_eff, imb_old) = if uniform {
-        (w_old.clone(), imbalance(&w_old))
-    } else {
-        (
-            effective_weights(&w_old, caps),
-            imbalance_weighted(&w_old, caps),
-        )
-    };
-    if has_keys && seeded && imb_old <= cfg.sfc_threshold {
-        return BalanceMethod::SfcDiffusion;
-    }
-
-    let total: u64 = w_eff.iter().sum();
-    let wmax_old = *w_eff.iter().max().unwrap();
-    let avg = total as f64 / nproc as f64;
-    let wv_max = *wcomp.iter().max().unwrap_or(&0);
-    // A full reshuffle touches all but the ~1/P of elements already home.
-    let reshuffle = (total as f64 * (nproc - 1) as f64 / nproc as f64) as u64;
-    // A seeded multilevel repartition drains only the overflow above target.
-    let overflow: u64 = w_eff
-        .iter()
-        .map(|&w| (w as f64 - avg).max(0.0) as u64)
-        .sum();
-    let score = |wmax_pred: f64, moved_pred: u64| -> f64 {
-        let gain = cfg
-            .cost
-            .computational_gain(wmax_old, wmax_pred.ceil() as u64, 0, 0);
-        gain - cfg.cost.redistribution_cost(moved_pred, nproc as u64)
-    };
-    // Achievable-wmax predictors: element-granular assignment (multilevel
-    // boundary refinement, LPT packing) lands within about half a heaviest
-    // element of the average; an SFC cut rounds a whole element at each
-    // range boundary. With gains this close, the movement term decides —
-    // which is exactly the seeded multilevel kernel's edge.
-    // The rematch candidates score with deliberately conservative
-    // predictors (boundary-granular wmax, like the SFC cut): each ties or
-    // trails an earlier method on both terms, and ties keep the earlier
-    // entry, so adding them leaves every committed selection baseline
-    // bit-identical. They compete via `force_method` and the `rematch`
-    // experiment, whose verdict decides whether to promote them.
-    let candidates: [(BalanceMethod, f64); 5] = [
-        (
-            BalanceMethod::Multilevel,
-            score(
-                avg + wv_max as f64 / 2.0,
-                if seeded { overflow } else { reshuffle },
-            ),
-        ),
-        (
-            BalanceMethod::Sfc,
-            if has_keys {
-                score(avg + wv_max as f64, reshuffle)
-            } else {
-                f64::NEG_INFINITY
-            },
-        ),
-        (
-            BalanceMethod::Knapsack,
-            score(avg + wv_max as f64 / 2.0, reshuffle),
-        ),
-        (
-            BalanceMethod::Diffusion2,
-            if seeded {
-                score(avg + wv_max as f64, overflow)
-            } else {
-                f64::NEG_INFINITY
-            },
-        ),
-        (
-            BalanceMethod::Voronoi,
-            if has_keys {
-                score(avg + wv_max as f64, reshuffle)
-            } else {
-                f64::NEG_INFINITY
-            },
-        ),
-    ];
-    // Strictly-better-wins in preference order: ties keep the earlier
-    // (better-studied) method.
-    let mut best = candidates[0];
-    for &c in &candidates[1..] {
-        if c.1 > best.1 {
-            best = c;
-        }
-    }
-    best.0
+    select_method_dual(wcomp, None, old_proc, cfg, caps, has_keys, seeded)
 }
 
-/// [`select_method`] under dual-constraint balancing: the gain/cost scores
-/// run on the *binding* constraint — whichever weight vector is further from
-/// balance is the one a repartition must fix, so its per-vertex weights
-/// drive the method choice. `None` or a uniform second vector reduces to
+/// [`select_method`] under dual-constraint balancing: the mild-imbalance
+/// test runs on the *binding* constraint — whichever weight vector is
+/// further from balance. `None` or a uniform second vector reduces to
 /// [`select_method`] bit-exactly.
 pub fn select_method_dual(
     wcomp: &[u64],
@@ -416,23 +278,34 @@ pub fn select_method_dual(
     has_keys: bool,
     seeded: bool,
 ) -> BalanceMethod {
-    let Some(w2) = w2.filter(|w| !dual_uniform(w)) else {
-        return select_method(wcomp, old_proc, cfg, caps, has_keys, seeded);
-    };
-    let nproc = cfg.nproc;
+    let diffusable = has_keys && seeded;
+    if let Some(forced) = cfg.force_method {
+        return if forced == BalanceMethod::SfcDiffusion && diffusable {
+            forced
+        } else {
+            BalanceMethod::Multilevel
+        };
+    }
+    if !diffusable {
+        return BalanceMethod::Multilevel;
+    }
     let uniform = caps_uniform(caps);
     let imb_of = |w: &[u64]| -> f64 {
-        let per = per_proc_wcomp(w, old_proc, nproc);
+        let per = per_proc_wcomp(w, old_proc, cfg.nproc);
         if uniform {
             imbalance(&per)
         } else {
             imbalance_weighted(&per, caps)
         }
     };
-    if imb_of(w2) > imb_of(wcomp) {
-        select_method(w2, old_proc, cfg, caps, has_keys, seeded)
+    let mut imb = imb_of(wcomp);
+    if let Some(w2) = w2.filter(|w| !dual_uniform(w)) {
+        imb = imb.max(imb_of(w2));
+    }
+    if imb <= cfg.sfc_threshold {
+        BalanceMethod::SfcDiffusion
     } else {
-        select_method(wcomp, old_proc, cfg, caps, has_keys, seeded)
+        BalanceMethod::Multilevel
     }
 }
 
@@ -441,10 +314,6 @@ pub(crate) fn predicted_time(method: BalanceMethod, work: &WorkModel, n: usize, 
     match method {
         BalanceMethod::Multilevel => work.partition_time(n, p),
         BalanceMethod::SfcDiffusion => work.sfc_diffusion_time(n, p),
-        BalanceMethod::Sfc => work.sfc_partition_time(n, p),
-        BalanceMethod::Knapsack => work.knapsack_time(n, p),
-        BalanceMethod::Diffusion2 => work.diffusion2_time(n, p),
-        BalanceMethod::Voronoi => work.voronoi_time(n, p),
     }
 }
 
@@ -485,76 +354,19 @@ pub(crate) fn evaluate_and_repartition(
     }
     // The dual kernels delegate bit-exactly when the second vector is
     // uniform, so `Some(uniform)` and `None` produce the same partition.
-    let new_part = match (method, w2) {
-        (BalanceMethod::Multilevel, None) => {
-            // Serial repartitioning on the dual graph with the new W_comp.
+    let new_part = match method {
+        BalanceMethod::Multilevel => {
             let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            match prev {
-                // Seed with the previous assignment (partition ids ==
-                // processor ids).
-                Some(prev) => repartition_kway_weighted(&graph, &pcfg, prev, &part_caps),
-                None => partition_kway(&graph, &pcfg),
-            }
+            multilevel_serial(&graph, w2, &pcfg, prev, &part_caps)
         }
-        (BalanceMethod::Multilevel, Some(w2)) => {
-            let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            match prev {
-                Some(prev) => repartition_kway_dual(&graph, w2, &pcfg, prev, &part_caps),
-                None => partition_kway_dual(&graph, w2, &pcfg, &part_caps),
-            }
-        }
-        (BalanceMethod::SfcDiffusion, None) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion");
-            sfc_diffuse(keys.unwrap(), &dual.wcomp, prev, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::SfcDiffusion, Some(w2)) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion");
-            sfc_diffuse_dual(
-                keys.unwrap(),
-                &dual.wcomp,
-                w2,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            )
-        }
-        (BalanceMethod::Sfc, None) => {
-            sfc_partition(keys.unwrap(), &dual.wcomp, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Sfc, Some(w2)) => {
-            sfc_partition_dual(keys.unwrap(), &dual.wcomp, w2, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Knapsack, None) => knapsack_partition(&dual.wcomp, pcfg.nparts, &part_caps),
-        (BalanceMethod::Knapsack, Some(w2)) => {
-            knapsack_partition_dual(&dual.wcomp, w2, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Diffusion2, None) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion2");
-            let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            diffusion2_balance(&graph, prev, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Diffusion2, Some(w2)) => {
-            let prev = prev.expect("selection guarantees a seed for diffusion2");
-            let graph = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-            diffusion2_balance_dual(&graph, w2, prev, pcfg.nparts, &part_caps)
-        }
-        (BalanceMethod::Voronoi, None) => match prev {
-            Some(prev) => {
-                voronoi_balance(keys.unwrap(), &dual.wcomp, prev, pcfg.nparts, &part_caps)
-            }
-            None => voronoi_partition(keys.unwrap(), &dual.wcomp, pcfg.nparts, &part_caps),
-        },
-        (BalanceMethod::Voronoi, Some(w2)) => match prev {
-            Some(prev) => voronoi_balance_dual(
-                keys.unwrap(),
-                &dual.wcomp,
-                w2,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            None => voronoi_partition_dual(keys.unwrap(), &dual.wcomp, w2, pcfg.nparts, &part_caps),
-        },
+        BalanceMethod::SfcDiffusion => sfc_diffuse(
+            keys.expect("selection guarantees keys for diffusion"),
+            &dual.wcomp,
+            w2,
+            prev.expect("selection guarantees a seed for diffusion"),
+            pcfg.nparts,
+            &part_caps,
+        ),
     };
     decision.method = Some(method);
     decision.predicted_partition_time = predicted_time(method, work, dual.n(), cfg.nproc);
@@ -659,38 +471,13 @@ pub(crate) fn apply_reassignment(
 ///   applies at the moment data would move;
 /// * `old_proc` is the current per-dual-vertex processor assignment;
 /// * `refine_work[v]` is the number of new elements subdivision will create
-///   in tree `v` (for the refinement term of the gain).
-pub fn balance_step(
-    dual: &DualGraph,
-    old_proc: &[u32],
-    refine_work: &[u64],
-    cfg: &PlumConfig,
-    work: &WorkModel,
-) -> BalanceDecision {
-    balance_step_keyed(dual, old_proc, refine_work, cfg, work, None)
-}
-
-/// [`balance_step`] with SFC keys: when `keys` carries one curve key per
-/// dual vertex the portfolio's geometric methods become eligible; with
-/// `None` the policy can only pick the multilevel kernel (or knapsack).
-pub fn balance_step_keyed(
-    dual: &DualGraph,
-    old_proc: &[u32],
-    refine_work: &[u64],
-    cfg: &PlumConfig,
-    work: &WorkModel,
-    keys: Option<&[u64]>,
-) -> BalanceDecision {
-    balance_step_dual(dual, old_proc, refine_work, cfg, work, keys, None)
-}
-
-/// [`balance_step_keyed`] under dual-constraint balancing: `w2` carries a
-/// second per-dual-vertex weight vector (e.g. particle counts) and the
-/// balancer holds *both* imbalances down (max-of-imbalances objective),
-/// reporting the second constraint in
-/// [`BalanceDecision::imbalance_old2`]/[`BalanceDecision::imbalance_new2`].
-/// `None` (or a uniform `w2`) reduces to the single-constraint step
-/// bit-exactly.
+///   in tree `v` (for the refinement term of the gain);
+/// * `keys`, one SFC key per dual vertex, make SFC diffusion eligible;
+/// * `w2` carries an optional second per-dual-vertex weight vector (e.g.
+///   particle counts): the balancer then holds *both* imbalances down
+///   (max-of-imbalances objective), reporting the second constraint in
+///   [`BalanceDecision::imbalance_old2`]/[`BalanceDecision::imbalance_new2`].
+///   `None` (or a uniform `w2`) is the single-constraint step bit-exactly.
 pub fn balance_step_dual(
     dual: &DualGraph,
     old_proc: &[u32],
@@ -743,6 +530,7 @@ mod tests {
     use super::*;
     use plum_mesh::generate::unit_box_mesh;
     use plum_mesh::DualGraph;
+    use plum_partition::partition_kway;
 
     fn dual_with_hotspot(n: usize, factor: u64) -> (DualGraph, Vec<u32>) {
         let mesh = unit_box_mesh(n);
@@ -767,12 +555,14 @@ mod tests {
         let graph = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), dual.wcomp.clone());
         let part = partition_kway(&graph, &plum_partition::PartitionConfig::new(4));
         let cfg = PlumConfig::new(4);
-        let d = balance_step(
+        let d = balance_step_dual(
             &dual,
             &part,
             &vec![0; dual.n()],
             &cfg,
             &WorkModel::default(),
+            None,
+            None,
         );
         assert!(!d.repartitioned, "balanced mesh must not repartition");
         assert!(!d.accepted);
@@ -784,7 +574,15 @@ mod tests {
         let (dual, part) = dual_with_hotspot(4, 8);
         let cfg = PlumConfig::new(4);
         let refine_work: Vec<u64> = dual.wcomp.iter().map(|&w| w - 1).collect();
-        let d = balance_step(&dual, &part, &refine_work, &cfg, &WorkModel::default());
+        let d = balance_step_dual(
+            &dual,
+            &part,
+            &refine_work,
+            &cfg,
+            &WorkModel::default(),
+            None,
+            None,
+        );
         assert!(d.repartitioned);
         assert!(d.accepted, "large imbalance must be worth fixing: {d:?}");
         assert!(d.imbalance_new < d.imbalance_old);
@@ -806,12 +604,14 @@ mod tests {
         cfg.cost.t_refine = 0.0;
         cfg.cost.m_words = 1_000_000;
         cfg.imbalance_trigger = 1.01;
-        let d = balance_step(
+        let d = balance_step_dual(
             &dual,
             &part,
             &vec![0; dual.n()],
             &cfg,
             &WorkModel::default(),
+            None,
+            None,
         );
         assert!(d.repartitioned);
         assert!(
@@ -840,7 +640,7 @@ mod tests {
         assert_ne!(
             select_method(&dual.wcomp, &part, &cfg, &caps, false, true),
             BalanceMethod::SfcDiffusion,
-            "no keys, no geometric method"
+            "no keys, no diffusion"
         );
         assert_ne!(
             select_method(&dual.wcomp, &part, &cfg, &caps, true, false),
@@ -851,8 +651,7 @@ mod tests {
 
     #[test]
     fn policy_heavy_seeded_imbalance_keeps_multilevel() {
-        // Far above the default threshold: candidates are scored, and the
-        // seeded multilevel kernel's low predicted movement wins — the
+        // Far above the default threshold: the multilevel kernel runs — the
         // regime the committed fig6 baseline pins.
         let (dual, part) = dual_with_hotspot(4, 8);
         let cfg = PlumConfig::new(4);
@@ -863,59 +662,24 @@ mod tests {
         );
     }
 
+    /// What a pinned method runs as, for every combination of SFC keys and
+    /// a seedable previous partition: diffusion needs both, and falls back
+    /// to the multilevel kernel when either is missing.
     #[test]
-    fn forced_methods_degrade_to_runnable_ones() {
+    fn forced_method_fallback_table() {
         let (dual, part) = dual_with_hotspot(4, 8);
         let mut cfg = PlumConfig::new(4);
         let caps = vec![1.0; 4];
+        use BalanceMethod::{Multilevel, SfcDiffusion};
         for (forced, has_keys, seeded, expect) in [
-            (
-                BalanceMethod::Knapsack,
-                false,
-                false,
-                BalanceMethod::Knapsack,
-            ),
-            (
-                BalanceMethod::SfcDiffusion,
-                true,
-                true,
-                BalanceMethod::SfcDiffusion,
-            ),
-            (BalanceMethod::SfcDiffusion, true, false, BalanceMethod::Sfc),
-            (
-                BalanceMethod::SfcDiffusion,
-                false,
-                true,
-                BalanceMethod::Multilevel,
-            ),
-            (BalanceMethod::Sfc, false, true, BalanceMethod::Multilevel),
-            (BalanceMethod::Sfc, true, false, BalanceMethod::Sfc),
-            (
-                BalanceMethod::Diffusion2,
-                true,
-                true,
-                BalanceMethod::Diffusion2,
-            ),
-            (
-                BalanceMethod::Diffusion2,
-                false,
-                true,
-                BalanceMethod::Diffusion2,
-            ),
-            (
-                BalanceMethod::Diffusion2,
-                true,
-                false,
-                BalanceMethod::Multilevel,
-            ),
-            (BalanceMethod::Voronoi, true, false, BalanceMethod::Voronoi),
-            (BalanceMethod::Voronoi, true, true, BalanceMethod::Voronoi),
-            (
-                BalanceMethod::Voronoi,
-                false,
-                true,
-                BalanceMethod::Multilevel,
-            ),
+            (Multilevel, false, false, Multilevel),
+            (Multilevel, false, true, Multilevel),
+            (Multilevel, true, false, Multilevel),
+            (Multilevel, true, true, Multilevel),
+            (SfcDiffusion, false, false, Multilevel),
+            (SfcDiffusion, false, true, Multilevel),
+            (SfcDiffusion, true, false, Multilevel),
+            (SfcDiffusion, true, true, SfcDiffusion),
         ] {
             cfg.force_method = Some(forced);
             assert_eq!(
@@ -927,25 +691,21 @@ mod tests {
     }
 
     #[test]
-    fn keyed_balance_with_forced_sfc_produces_valid_accepted_mapping() {
+    fn keyed_balance_runs_each_forced_method() {
         let (dual, part) = dual_with_hotspot(4, 8);
         let keys: Vec<u64> = (0..dual.n() as u64).collect();
-        for method in [
-            BalanceMethod::Sfc,
-            BalanceMethod::Knapsack,
-            BalanceMethod::Diffusion2,
-            BalanceMethod::Voronoi,
-        ] {
+        for method in [BalanceMethod::Multilevel, BalanceMethod::SfcDiffusion] {
             let mut cfg = PlumConfig::new(4);
             cfg.force_method = Some(method);
             let refine_work: Vec<u64> = dual.wcomp.iter().map(|&w| w - 1).collect();
-            let d = balance_step_keyed(
+            let d = balance_step_dual(
                 &dual,
                 &part,
                 &refine_work,
                 &cfg,
                 &WorkModel::default(),
                 Some(&keys),
+                None,
             );
             assert!(d.repartitioned);
             assert_eq!(d.method, Some(method), "{method:?}");
@@ -960,49 +720,20 @@ mod tests {
         }
     }
 
-    /// Zero-load-change fixed point: on a partition whose effective
-    /// imbalance is exactly 1.0 (capacities matched to the actual part
-    /// loads — the post-rebalance steady state) both new local balancers
-    /// return the seed unchanged.
-    #[test]
-    fn new_local_balancers_are_noops_on_balanced_partition() {
-        let mesh = unit_box_mesh(3);
-        let dual = DualGraph::build(&mesh);
-        let graph = Graph::from_csr(dual.xadj.clone(), dual.adjncy.clone(), dual.wcomp.clone());
-        let part = partition_kway(&graph, &plum_partition::PartitionConfig::new(4));
-        let keys: Vec<u64> = (0..dual.n() as u64).collect();
-        let w = per_proc_wcomp(&dual.wcomp, &part, 4);
-        let caps: Vec<f64> = w.iter().map(|&x| x as f64).collect();
-        let gview = Graph::view(&dual.xadj, &dual.adjncy, &dual.wcomp);
-        let imb = imbalance_weighted(&w, &caps);
-        assert!(
-            imb <= 1.0 + 1e-12,
-            "effective imbalance must be exactly 1: {imb}"
-        );
-        assert_eq!(
-            diffusion2_balance(&gview, &part, 4, &caps),
-            part,
-            "diffusion2 must be a no-op on a balanced partition"
-        );
-        assert_eq!(
-            voronoi_balance(&keys, &dual.wcomp, &part, 4, &caps),
-            part,
-            "voronoi must be a no-op on a balanced partition"
-        );
-    }
-
     #[test]
     fn all_three_mappers_produce_valid_assignments() {
         let (dual, part) = dual_with_hotspot(3, 6);
         for mapper in [Mapper::GreedyMwbg, Mapper::OptimalMwbg, Mapper::OptimalBmcm] {
             let mut cfg = PlumConfig::new(4);
             cfg.mapper = mapper;
-            let d = balance_step(
+            let d = balance_step_dual(
                 &dual,
                 &part,
                 &vec![0; dual.n()],
                 &cfg,
                 &WorkModel::default(),
+                None,
+                None,
             );
             assert!(d.repartitioned);
             assert!(d.reassign_seconds >= 0.0);

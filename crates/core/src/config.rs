@@ -56,16 +56,14 @@ pub struct PlumConfig {
     /// Portfolio policy: a triggered cycle whose effective imbalance is
     /// below this is mild enough for SFC boundary diffusion instead of a
     /// full repartition (Cubism's diffusion-below-threshold rule). Needs
-    /// SFC keys and a seedable previous partition; above it, methods are
-    /// scored with the gain/cost model.
+    /// SFC keys and a seedable previous partition; above it, the
+    /// multilevel kernel runs.
     pub sfc_threshold: f64,
     /// Which space-filling curve orders the element centroids.
     pub sfc_curve: SfcCurve,
     /// Pin the portfolio to one method (benchmarks and differential tests);
-    /// `None` lets the policy pick per cycle. Codes 1–6: multilevel, SFC
-    /// boundary diffusion, SFC split, knapsack, second-order diffusion,
-    /// Voronoi — the last two are the `rematch` locals, which only run
-    /// when forced (the scoring tier keeps the committed baselines).
+    /// `None` lets the policy pick per cycle. A pinned SFC diffusion that
+    /// lacks keys or a seedable previous partition runs multilevel.
     pub force_method: Option<BalanceMethod>,
 }
 

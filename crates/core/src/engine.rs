@@ -215,111 +215,30 @@ fn balance_on_session(
         !p.sfc_keys.is_empty(),
         prev.is_some(),
     );
-    // The SFC paths run replicated arithmetic on replicated inputs; compute
+    // SFC diffusion runs replicated arithmetic on replicated inputs; compute
     // the partition once host-side and hand it to every rank instead of
     // recomputing it P times (virtual charges are unaffected — see
-    // `resolve_replicated` in plum-partition). The dual kernels delegate
-    // bit-exactly on a uniform second vector, so the hoist covers both
-    // regimes with one call.
-    let sfc_hoist: Option<Vec<u32>> = match method {
-        BalanceMethod::Sfc => Some(match w2 {
-            None => {
-                plum_partition::sfc_partition(&p.sfc_keys, &p.dual.wcomp, pcfg.nparts, &part_caps)
-            }
-            Some(w2) => plum_partition::sfc_partition_dual(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                w2,
-                pcfg.nparts,
-                &part_caps,
-            ),
-        }),
-        BalanceMethod::SfcDiffusion => {
-            let prev = prev.expect("selection guarantees a seed for diffusion");
-            Some(match w2 {
-                None => plum_partition::sfc_diffuse(
-                    &p.sfc_keys,
-                    &p.dual.wcomp,
-                    prev,
-                    pcfg.nparts,
-                    &part_caps,
-                ),
-                Some(w2) => plum_partition::sfc_diffuse_dual(
-                    &p.sfc_keys,
-                    &p.dual.wcomp,
-                    w2,
-                    prev,
-                    pcfg.nparts,
-                    &part_caps,
-                ),
-            })
-        }
-        BalanceMethod::Diffusion2 => {
-            let prev = prev.expect("selection guarantees a seed for diffusion2");
-            let graph = plum_partition::Graph::view(&p.dual.xadj, &p.dual.adjncy, &p.dual.wcomp);
-            Some(match w2 {
-                None => plum_partition::diffusion2_balance(&graph, prev, pcfg.nparts, &part_caps),
-                Some(w2) => plum_partition::diffusion2_balance_dual(
-                    &graph,
-                    w2,
-                    prev,
-                    pcfg.nparts,
-                    &part_caps,
-                ),
-            })
-        }
-        BalanceMethod::Voronoi => Some(match (prev, w2) {
-            (Some(prev), None) => plum_partition::voronoi_balance(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            (Some(prev), Some(w2)) => plum_partition::voronoi_balance_dual(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                w2,
-                prev,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            (None, None) => plum_partition::voronoi_partition(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                pcfg.nparts,
-                &part_caps,
-            ),
-            (None, Some(w2)) => plum_partition::voronoi_partition_dual(
-                &p.sfc_keys,
-                &p.dual.wcomp,
-                w2,
-                pcfg.nparts,
-                &part_caps,
-            ),
-        }),
-        _ => None,
-    };
+    // `sfc_diffuse_body` in plum-partition).
+    let seed = || prev.expect("selection guarantees a seed for diffusion");
+    let sfc_hoist = (method == BalanceMethod::SfcDiffusion).then(|| {
+        plum_partition::sfc_diffuse(
+            &p.sfc_keys,
+            &p.dual.wcomp,
+            w2,
+            seed(),
+            pcfg.nparts,
+            &part_caps,
+        )
+    });
     let t0 = session.now();
     let results = {
         let graph = plum_partition::Graph::view(&p.dual.xadj, &p.dual.adjncy, &p.dual.wcomp);
         let owner = &p.proc_of_root;
         let part_caps = &part_caps;
-        let keys = &p.sfc_keys;
-        let vwgt = &p.dual.wcomp;
         let sfc_hoist = sfc_hoist.as_deref();
         session.run(vec![(); cfg.nproc], move |comm, ()| {
-            comm.phase("partition", |c| match (method, w2) {
-                (BalanceMethod::Multilevel, None) => plum_partition::repartition_body(
-                    c,
-                    &graph,
-                    owner,
-                    prev,
-                    &pcfg,
-                    part_caps,
-                    vertex_units,
-                ),
-                (BalanceMethod::Multilevel, Some(w2)) => plum_partition::repartition_body_dual(
+            comm.phase("partition", |c| match method {
+                BalanceMethod::Multilevel => plum_partition::repartition_body(
                     c,
                     &graph,
                     w2,
@@ -329,106 +248,13 @@ fn balance_on_session(
                     part_caps,
                     vertex_units,
                 ),
-                (BalanceMethod::SfcDiffusion, None) => plum_partition::sfc_diffuse_body(
+                BalanceMethod::SfcDiffusion => plum_partition::sfc_diffuse_body(
                     c,
-                    keys,
-                    vwgt,
-                    owner,
-                    prev.expect("selection guarantees a seed for diffusion"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::SfcDiffusion, Some(w2)) => plum_partition::sfc_diffuse_body_dual(
-                    c,
-                    keys,
-                    vwgt,
+                    &p.sfc_keys,
+                    &p.dual.wcomp,
                     w2,
                     owner,
-                    prev.expect("selection guarantees a seed for diffusion"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Sfc, None) => plum_partition::sfc_body(
-                    c,
-                    keys,
-                    vwgt,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Sfc, Some(w2)) => plum_partition::sfc_body_dual(
-                    c,
-                    keys,
-                    vwgt,
-                    w2,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Knapsack, None) => plum_partition::knapsack_body(
-                    c,
-                    vwgt,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                ),
-                (BalanceMethod::Knapsack, Some(w2)) => plum_partition::knapsack_body_dual(
-                    c,
-                    vwgt,
-                    w2,
-                    owner,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                ),
-                (BalanceMethod::Diffusion2, None) => plum_partition::diffusion2_body(
-                    c,
-                    &graph,
-                    owner,
-                    prev.expect("selection guarantees a seed for diffusion2"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Diffusion2, Some(w2)) => plum_partition::diffusion2_body_dual(
-                    c,
-                    &graph,
-                    w2,
-                    owner,
-                    prev.expect("selection guarantees a seed for diffusion2"),
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Voronoi, None) => plum_partition::voronoi_body(
-                    c,
-                    keys,
-                    vwgt,
-                    owner,
-                    prev,
-                    pcfg.nparts,
-                    part_caps,
-                    vertex_units,
-                    sfc_hoist,
-                ),
-                (BalanceMethod::Voronoi, Some(w2)) => plum_partition::voronoi_body_dual(
-                    c,
-                    keys,
-                    vwgt,
-                    w2,
-                    owner,
-                    prev,
+                    seed(),
                     pcfg.nparts,
                     part_caps,
                     vertex_units,
@@ -1153,61 +979,29 @@ mod tests {
         a.am.validate();
     }
 
-    /// Every portfolio method runs the same way on both paths: forcing each
-    /// geometric method produces engine ≡ reference bit-identically (the
-    /// SPMD bodies return their serial kernels' exact output), and both
-    /// report the forced method on repartitioning cycles.
+    /// Golden battery for forced SFC diffusion (the multilevel path rides
+    /// in the goldens above): engine ≡ reference to 1e-9 on times, exact on
+    /// counts and `BalanceDecision`, at P = 1 (degenerate single-rank path),
+    /// 8 and 64.
     #[test]
-    fn forced_portfolio_methods_match_reference() {
-        for method in [
-            BalanceMethod::Sfc,
-            BalanceMethod::Knapsack,
-            BalanceMethod::SfcDiffusion,
-            BalanceMethod::Diffusion2,
-            BalanceMethod::Voronoi,
-        ] {
-            let mut engine = plum(8, 4, RemapPolicy::BeforeRefinement);
-            let mut reference = plum(8, 4, RemapPolicy::BeforeRefinement);
+    fn forced_diffusion_matches_reference() {
+        let method = BalanceMethod::SfcDiffusion;
+        for (nproc, n) in [(1usize, 3usize), (8, 4), (64, 5)] {
+            let mut engine = plum(nproc, n, RemapPolicy::BeforeRefinement);
+            let mut reference = plum(nproc, n, RemapPolicy::BeforeRefinement);
             engine.cfg.force_method = Some(method);
             reference.cfg.force_method = Some(method);
             for cycle in 0..2 {
                 let e = engine.adaption_cycle(0.3, 0.1);
                 let r = reference.adaption_cycle_reference(0.3, 0.1);
-                assert_equivalent(&e, &r, &format!("{method:?} cycle {cycle}"));
-                assert_eq!(e.decision.method, r.decision.method, "{method:?}");
-                if e.decision.repartitioned {
-                    assert_eq!(e.decision.method, Some(method), "cycle {cycle}");
+                assert_equivalent(&e, &r, &format!("P={nproc} cycle {cycle}"));
+                assert_eq!(e.decision.method, r.decision.method, "P={nproc}");
+                if nproc > 1 && e.decision.repartitioned {
+                    assert_eq!(e.decision.method, Some(method), "P={nproc} cycle {cycle}");
                     assert!(e.decision.predicted_partition_time > 0.0);
                 }
             }
             engine.am.validate();
-        }
-    }
-
-    /// Golden battery for the rematch balancers at the P extremes (P = 8
-    /// rides in `forced_portfolio_methods_match_reference`): engine ≡
-    /// reference to 1e-9 on times, exact on counts and `BalanceDecision`,
-    /// at P = 1 (degenerate single-rank path) and P = 64.
-    #[test]
-    fn forced_rematch_balancers_golden_p1_p64() {
-        for method in [BalanceMethod::Diffusion2, BalanceMethod::Voronoi] {
-            for (nproc, n) in [(1usize, 3usize), (64, 5)] {
-                let mut engine = plum(nproc, n, RemapPolicy::BeforeRefinement);
-                let mut reference = plum(nproc, n, RemapPolicy::BeforeRefinement);
-                engine.cfg.force_method = Some(method);
-                reference.cfg.force_method = Some(method);
-                for cycle in 0..2 {
-                    let e = engine.adaption_cycle(0.3, 0.1);
-                    let r = reference.adaption_cycle_reference(0.3, 0.1);
-                    assert_equivalent(&e, &r, &format!("{method:?} P={nproc} cycle {cycle}"));
-                    assert_eq!(e.decision.method, r.decision.method, "{method:?} P={nproc}");
-                    if nproc > 1 && e.decision.repartitioned {
-                        assert_eq!(e.decision.method, Some(method), "P={nproc} cycle {cycle}");
-                        assert!(e.decision.predicted_partition_time > 0.0);
-                    }
-                }
-                engine.am.validate();
-            }
         }
     }
 

@@ -223,7 +223,7 @@ pub struct Plum {
     pub dual: DualGraph,
     /// SFC key of each dual vertex (curve `cfg.sfc_curve` over the initial
     /// elements' centroids). Roots never move, so the keys are computed once
-    /// and power the portfolio's geometric methods every cycle.
+    /// and power SFC boundary diffusion every cycle.
     pub sfc_keys: Vec<u64>,
     /// The flow solution.
     pub field: VertexField,

@@ -8,7 +8,7 @@
 //! 2. **mesh adaptor** (`plum_adapt`) marks edges from the error
 //!    indicator, with cross-processor propagation ([`parallel_mark`]);
 //! 3. the new mesh is **predicted exactly** before subdivision;
-//! 4. the **load balancer** ([`balance_step`]) repartitions the dual graph
+//! 4. the **load balancer** ([`balance_step_dual`]) repartitions the dual graph
 //!    (`plum_partition`), reassigns partitions to processors
 //!    (`plum_reassign`), and accepts/rejects via the gain/cost model
 //!    (`plum_remap`);
@@ -46,8 +46,8 @@ mod snapshot;
 mod timing;
 
 pub use balance::{
-    balance_step, balance_step_dual, balance_step_keyed, run_mapper, select_method,
-    select_method_dual, BalanceDecision, BalanceMethod,
+    balance_step_dual, run_mapper, select_method, select_method_dual, BalanceDecision,
+    BalanceMethod,
 };
 pub use chaos::ChaosConfig;
 pub use config::{Mapper, PlumConfig, RemapPolicy};

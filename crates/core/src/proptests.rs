@@ -14,7 +14,7 @@ use plum_solver::WaveField;
 
 use crate::framework::Plum;
 use crate::marking::Ownership;
-use crate::PlumConfig;
+use crate::{select_method, select_method_dual, BalanceMethod, PlumConfig};
 
 /// Assert `own` (incrementally maintained) equals a fresh build.
 fn assert_equivalent(own: &Ownership, am: &AdaptiveMesh, proc: &[u32], nproc: usize) {
@@ -132,5 +132,96 @@ proptest! {
         let clean = run(None);
         let jittered = run(Some((seed, jitter)));
         prop_assert_eq!(clean, jittered);
+    }
+}
+
+/// Effective imbalance as the portfolio policy measures it: max/avg of the
+/// per-processor loads, capacity-weighted when the capacities differ.
+fn policy_imbalance(w: &[u64], old_proc: &[u32], caps: &[f64]) -> f64 {
+    let mut per = vec![0u64; caps.len()];
+    for (v, &r) in old_proc.iter().enumerate() {
+        per[r as usize] += w[v];
+    }
+    if caps.iter().all(|&c| c == caps[0]) {
+        plum_partition::imbalance(&per)
+    } else {
+        plum_partition::imbalance_weighted(&per, caps)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The policy pin: on generated inputs `select_method` returns
+    /// `SfcDiffusion` exactly when SFC keys and a seed exist and the
+    /// effective imbalance (of the binding constraint, under two weight
+    /// vectors) is at most `sfc_threshold`, and `Multilevel` otherwise.
+    #[test]
+    fn select_method_reaches_only_multilevel_and_sfc_diffusion(
+        nproc in 2usize..65,
+        seed in any::<u64>(),
+        flags in 0u64..64,
+    ) {
+        let mut rng = plum_partition::Rng::new(seed);
+        let mut unit = || rng.next_u64() as f64 / u64::MAX as f64;
+        let n = nproc + (unit() * 8.0 * nproc as f64) as usize;
+        // A spread of 0 gives near-balanced loads (the mild tier), a large
+        // one a hotspot.
+        let spread = [0.0, 0.05, 0.5, 4.0, 40.0][(unit() * 5.0) as usize % 5];
+        let round_robin = flags & 1 != 0;
+        let old_proc: Vec<u32> = (0..n)
+            .map(|v| {
+                if round_robin {
+                    (v % nproc) as u32
+                } else {
+                    (unit() * nproc as f64) as u32 % nproc as u32
+                }
+            })
+            .collect();
+        let wcomp: Vec<u64> = (0..n)
+            .map(|_| 8 + (unit() * spread * 8.0) as u64)
+            .collect();
+        let w2: Option<Vec<u64>> = (flags & 2 != 0).then(|| {
+            if flags & 4 != 0 {
+                vec![3; n]
+            } else {
+                (0..n).map(|_| (unit() * 1000.0) as u64).collect()
+            }
+        });
+        let caps: Vec<f64> = if flags & 8 != 0 {
+            (0..nproc).map(|_| 0.25 + unit() * 3.75).collect()
+        } else {
+            vec![1.0; nproc]
+        };
+        let has_keys = flags & 16 != 0;
+        let seeded = flags & 32 != 0;
+        let mut cfg = PlumConfig::new(nproc);
+        cfg.sfc_threshold = 1.0 + unit() * 1.5;
+        cfg.cost.t_iter = unit() * 1e-3;
+        cfg.cost.n_adapt = (unit() * 200.0) as u64;
+        cfg.cost.t_refine = unit() * 1e-4;
+        cfg.cost.m_words = (unit() * 1000.0) as u64;
+        cfg.cost.machine.t_setup = unit() * 1e-3;
+        cfg.cost.machine.t_word = unit() * 1e-5;
+
+        let mut imb = policy_imbalance(&wcomp, &old_proc, &caps);
+        if let Some(w2) = w2.as_deref().filter(|w| !plum_partition::dual_uniform(w)) {
+            imb = imb.max(policy_imbalance(w2, &old_proc, &caps));
+        }
+        let expect = if has_keys && seeded && imb <= cfg.sfc_threshold {
+            BalanceMethod::SfcDiffusion
+        } else {
+            BalanceMethod::Multilevel
+        };
+        let got = select_method_dual(
+            &wcomp, w2.as_deref(), &old_proc, &cfg, &caps, has_keys, seeded,
+        );
+        prop_assert_eq!(got, expect);
+        if w2.is_none() {
+            prop_assert_eq!(
+                select_method(&wcomp, &old_proc, &cfg, &caps, has_keys, seeded),
+                expect
+            );
+        }
     }
 }

@@ -68,21 +68,6 @@ impl WorkModel {
         local + sync + self.t_part_base
     }
 
-    /// Modeled wall time of the full SFC partitioner on `p` processors: a
-    /// local key sort over `n/p` elements (far lighter than a multilevel
-    /// level — no matching, no contraction), one all-to-all key exchange,
-    /// and a fraction of the fixed setup. No `levels` factor: the curve is
-    /// cut in a single pass.
-    pub fn sfc_partition_time(&self, n: usize, p: usize) -> f64 {
-        let local = self.t_part_vertex * 0.5 * (n as f64 / p as f64);
-        let sync = if p > 1 {
-            self.t_part_sync * p as f64
-        } else {
-            0.0
-        };
-        local + sync + self.t_part_base * 0.1
-    }
-
     /// Modeled wall time of SFC boundary diffusion: boundary sweeps over the
     /// local curve range plus one reduced weight exchange — the cheap path
     /// of the portfolio, an order of magnitude under
@@ -95,47 +80,6 @@ impl WorkModel {
             0.0
         };
         local + sync + self.t_part_base * 0.05
-    }
-
-    /// Modeled wall time of the LPT knapsack packer: local weight sort plus
-    /// one assignment exchange — same shape as the SFC sort, no geometry.
-    pub fn knapsack_time(&self, n: usize, p: usize) -> f64 {
-        let local = self.t_part_vertex * 0.5 * (n as f64 / p as f64);
-        let sync = if p > 1 {
-            self.t_part_sync * p as f64
-        } else {
-            0.0
-        };
-        local + sync + self.t_part_base * 0.1
-    }
-
-    /// Modeled wall time of the second-order (Chebyshev) diffusion
-    /// balancer: a boundary scan plus selection sweeps over the local block
-    /// (about half a key sort's work), the load-vector allreduce, and the
-    /// moved-triple exchange. The flow solve itself is replicated O(P·deg)
-    /// arithmetic, folded into the sync term.
-    pub fn diffusion2_time(&self, n: usize, p: usize) -> f64 {
-        let local = self.t_part_vertex * 0.5 * (n as f64 / p as f64);
-        let sync = if p > 1 {
-            self.t_part_sync * 0.75 * p as f64
-        } else {
-            0.0
-        };
-        local + sync + self.t_part_base * 0.1
-    }
-
-    /// Modeled wall time of the Voronoi centroid-shift balancer: nearest-
-    /// generator scans over the local block across the Lloyd rounds (a bit
-    /// heavier than one key sort), plus the same single-exchange traffic
-    /// shape as the SFC cut.
-    pub fn voronoi_time(&self, n: usize, p: usize) -> f64 {
-        let local = self.t_part_vertex * 0.75 * (n as f64 / p as f64);
-        let sync = if p > 1 {
-            self.t_part_sync * p as f64
-        } else {
-            0.0
-        };
-        local + sync + self.t_part_base * 0.1
     }
 
     /// Compute-only share of one solver iteration on a rank owning `wcomp`
@@ -257,29 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_methods_are_cheaper_than_multilevel() {
+    fn diffusion_is_5x_cheaper_than_multilevel() {
         let wm = WorkModel::default();
         for &(n, p) in &[(6_000usize, 8usize), (6_000, 64), (60_968, 64)] {
             let ml = wm.partition_time(n, p);
             assert!(
                 wm.sfc_diffusion_time(n, p) * 5.0 <= ml,
                 "diffusion not ≥5× cheaper at n={n} p={p}"
-            );
-            assert!(
-                wm.sfc_partition_time(n, p) < ml,
-                "SFC ≥ multilevel at n={n} p={p}"
-            );
-            assert!(
-                wm.knapsack_time(n, p) < ml,
-                "knapsack ≥ multilevel at n={n} p={p}"
-            );
-            assert!(
-                wm.diffusion2_time(n, p) < ml,
-                "diffusion2 ≥ multilevel at n={n} p={p}"
-            );
-            assert!(
-                wm.voronoi_time(n, p) < ml,
-                "voronoi ≥ multilevel at n={n} p={p}"
             );
         }
     }

@@ -26,11 +26,10 @@ use plum_parsim::{makespan, spmd, words_for_bytes, Comm, MachineModel, TraceLog}
 
 use crate::graph::Graph;
 use crate::kway::{
-    capacity_fractions, part_ceilings, partition_kway_dual, partition_kway_impl, rel_lt,
-    PartitionConfig,
+    capacity_fractions, part_ceilings, partition_kway_impl, rel_lt, PartitionConfig,
 };
 use crate::metrics::dual_uniform;
-use crate::repart::{repartition_diffuse, repartition_kway_dual, repartition_kway_impl};
+use crate::repart::{multilevel_serial, repartition_diffuse};
 use crate::rng::Rng;
 
 /// Sparse alltoallv send list: `(destination, words, (u32, u32) payload)`.
@@ -872,132 +871,80 @@ fn refine_distributed(
 }
 
 // ---------------------------------------------------------------------------
-// Exact-serial small-graph path
+// Rank-0 serial solve: small graphs and the dual-constraint path
 // ---------------------------------------------------------------------------
 
-/// Graphs at or below the coarsening target: gather the owned weights (and
-/// previous parts) to rank 0, run the serial kernel on the original vertex
-/// numbering, broadcast. Bit-identical to the host-side serial reference.
-fn exact_serial(
-    comm: &mut Comm,
-    g: &Graph,
-    owner: &[u32],
-    prev: Option<&[u32]>,
-    cfg: &PartitionConfig,
-    frac: Option<&[f64]>,
-    vertex_units: f64,
-) -> Vec<u32> {
-    let rank = comm.rank();
-    let p = comm.nranks();
-    let n = g.n();
-    let mut vw: Vec<u64> = Vec::new();
-    let mut pv: Vec<u32> = Vec::new();
-    for v in 0..n {
-        if owner[v] as usize == rank {
-            vw.push(g.vwgt[v]);
-            if let Some(pp) = prev {
-                pv.push(pp[v]);
-            }
-        }
-    }
-    charge(comm, vw.len(), vertex_units);
-    let bytes = 8 * vw.len() + 4 * pv.len();
-    let pieces = comm.gatherv(0, words_for_bytes(bytes), (vw, pv));
-    let full = if rank == 0 {
-        let pieces = pieces.unwrap();
-        let mut vwgt = vec![0u64; n];
-        let mut prev_full = prev.map(|_| vec![0u32; n]);
-        let mut idx = vec![0usize; p];
-        for v in 0..n {
-            let r = owner[v] as usize;
-            vwgt[v] = pieces[r].0[idx[r]];
-            if let Some(pf) = &mut prev_full {
-                pf[v] = pieces[r].1[idx[r]];
-            }
-            idx[r] += 1;
-        }
-        debug_assert_eq!(&vwgt[..], &g.vwgt[..], "gathered weights must round-trip");
-        let mut host = g.clone();
-        host.vwgt = Cow::Owned(vwgt);
-        charge(comm, HOST_UNITS_PER_VERTEX as usize * n, vertex_units);
-        Some(match prev_full {
-            Some(pf) => repartition_kway_impl(&host, cfg, &pf, frac),
-            None => partition_kway_impl(&host, cfg, frac),
-        })
-    } else {
-        None
-    };
-    comm.bcast(0, words_for_bytes(4 * n), full)
-}
-
-/// Dual-constraint SPMD body: gather the owned `(w1, w2, prev)` rows to
-/// rank 0, run the serial dual multilevel kernel there on the original
-/// numbering, and broadcast — the exact-serial pattern applied to the whole
-/// dual path. The dual graph the engine balances is the root-element graph,
-/// which is at the scale the exact-serial path already serves; the gather
-/// and broadcast cost real collective traffic either way. A uniform second
-/// weight vector delegates to [`repartition_body`], keeping the
-/// single-constraint traffic (and virtual times) untouched.
+/// Gather the owned `(w1, w2, prev)` rows to rank 0, run the serial kernel
+/// ([`multilevel_serial`]) there on the original vertex numbering, and
+/// broadcast the result — bit-identical to the host-side serial reference.
+/// Serves graphs at or below the coarsening target and the whole
+/// dual-constraint path (the dual graph the engine balances is the
+/// root-element graph, already at that scale); the gather and broadcast
+/// cost real collective traffic either way.
 #[allow(clippy::too_many_arguments)]
-pub fn repartition_body_dual(
+fn gather_solve_bcast(
     comm: &mut Comm,
     g: &Graph,
-    w2: &[u64],
+    w2: Option<&[u64]>,
     owner: &[u32],
     prev: Option<&[u32]>,
     cfg: &PartitionConfig,
     caps: &[f64],
     vertex_units: f64,
 ) -> Vec<u32> {
-    let n = g.n();
-    assert_eq!(w2.len(), n, "one second weight per vertex");
-    if cfg.nparts == 1 {
-        return vec![0; n];
-    }
-    if dual_uniform(w2) {
-        return repartition_body(comm, g, owner, prev, cfg, caps, vertex_units);
-    }
     let rank = comm.rank();
     let p = comm.nranks();
+    let n = g.n();
     let mut vw: Vec<u64> = Vec::new();
     let mut v2: Vec<u64> = Vec::new();
     let mut pv: Vec<u32> = Vec::new();
     for v in 0..n {
         if owner[v] as usize == rank {
             vw.push(g.vwgt[v]);
-            v2.push(w2[v]);
+            if let Some(w2) = w2 {
+                v2.push(w2[v]);
+            }
             if let Some(pp) = prev {
                 pv.push(pp[v]);
             }
         }
     }
     charge(comm, vw.len(), vertex_units);
-    let bytes = 16 * vw.len() + 4 * pv.len();
+    let bytes = 8 * (vw.len() + v2.len()) + 4 * pv.len();
     let pieces = comm.gatherv(0, words_for_bytes(bytes), (vw, v2, pv));
     let full = if rank == 0 {
         let pieces = pieces.unwrap();
         let mut vwgt = vec![0u64; n];
-        let mut w2_full = vec![0u64; n];
+        let mut w2_full = w2.map(|_| vec![0u64; n]);
         let mut prev_full = prev.map(|_| vec![0u32; n]);
         let mut idx = vec![0usize; p];
         for v in 0..n {
             let r = owner[v] as usize;
             vwgt[v] = pieces[r].0[idx[r]];
-            w2_full[v] = pieces[r].1[idx[r]];
+            if let Some(wf) = &mut w2_full {
+                wf[v] = pieces[r].1[idx[r]];
+            }
             if let Some(pf) = &mut prev_full {
                 pf[v] = pieces[r].2[idx[r]];
             }
             idx[r] += 1;
         }
         debug_assert_eq!(&vwgt[..], &g.vwgt[..], "gathered weights must round-trip");
-        debug_assert_eq!(&w2_full[..], w2, "gathered second weights must round-trip");
+        debug_assert_eq!(
+            w2_full.as_deref(),
+            w2,
+            "gathered second weights must round-trip"
+        );
         let mut host = g.clone();
         host.vwgt = Cow::Owned(vwgt);
         charge(comm, HOST_UNITS_PER_VERTEX as usize * n, vertex_units);
-        Some(match prev_full {
-            Some(pf) => repartition_kway_dual(&host, &w2_full, cfg, &pf, caps),
-            None => partition_kway_dual(&host, &w2_full, cfg, caps),
-        })
+        Some(multilevel_serial(
+            &host,
+            w2_full.as_deref(),
+            cfg,
+            prev_full.as_deref(),
+            caps,
+        ))
     } else {
         None
     };
@@ -1013,6 +960,10 @@ pub fn repartition_body_dual(
 ///
 /// * `g` — the full dual graph (a replicated substrate; each rank reads only
 ///   its owned rows plus the replicated `owner`/offset arrays for routing).
+/// * `w2` — an optional second per-vertex weight vector (e.g. particle
+///   counts): both constraints are then balanced by the serial dual kernel
+///   on rank 0. `None` or a uniform vector takes the single-constraint path
+///   bit-exactly, traffic included.
 /// * `owner` — owning rank of each vertex (the previous processor
 ///   assignment); defines the distribution of rows across ranks.
 /// * `prev` — previous partition to diffuse from (`None` partitions fresh,
@@ -1026,9 +977,11 @@ pub fn repartition_body_dual(
 /// Every rank returns the identical full partition vector. The result is
 /// deterministic in the inputs — independent of the machine model and of
 /// any chaos perturbation, which only stretch the virtual clocks.
+#[allow(clippy::too_many_arguments)]
 pub fn repartition_body(
     comm: &mut Comm,
     g: &Graph,
+    w2: Option<&[u64]>,
     owner: &[u32],
     prev: Option<&[u32]>,
     cfg: &PartitionConfig,
@@ -1036,13 +989,17 @@ pub fn repartition_body(
     vertex_units: f64,
 ) -> Vec<u32> {
     let n = g.n();
+    if let Some(w2) = w2 {
+        assert_eq!(w2.len(), n, "one second weight per vertex");
+    }
     if cfg.nparts == 1 {
         return vec![0; n];
     }
     let frac = capacity_fractions(caps, cfg.nparts);
     let frac = frac.as_deref();
-    if n <= cfg.coarsen_target() {
-        return exact_serial(comm, g, owner, prev, cfg, frac, vertex_units);
+    let w2 = w2.filter(|w2| !dual_uniform(w2));
+    if w2.is_some() || n <= cfg.coarsen_target() {
+        return gather_solve_bcast(comm, g, w2, owner, prev, cfg, caps, vertex_units);
     }
 
     let rank = comm.rank();
@@ -1108,6 +1065,21 @@ pub fn repartition_body(
     comm.bcast(0, words_for_bytes(4 * n), full)
 }
 
+/// [`repartition_body`] with a second weight vector given as a slice.
+#[allow(clippy::too_many_arguments)]
+pub fn repartition_body_dual(
+    comm: &mut Comm,
+    g: &Graph,
+    w2: &[u64],
+    owner: &[u32],
+    prev: Option<&[u32]>,
+    cfg: &PartitionConfig,
+    caps: &[f64],
+    vertex_units: f64,
+) -> Vec<u32> {
+    repartition_body(comm, g, Some(w2), owner, prev, cfg, caps, vertex_units)
+}
+
 /// Result of a standalone [`repartition_distributed`] run.
 #[derive(Debug, Clone)]
 pub struct DistPartition {
@@ -1138,7 +1110,7 @@ pub fn repartition_distributed(
 ) -> DistPartition {
     let results = spmd(nranks, model, |comm| {
         comm.phase("partition", |c| {
-            repartition_body(c, g, owner, prev, cfg, caps, vertex_units)
+            repartition_body(c, g, None, owner, prev, cfg, caps, vertex_units)
         })
     });
     let part = results[0].value.clone();

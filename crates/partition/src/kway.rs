@@ -7,7 +7,6 @@ use std::borrow::Cow;
 use crate::bisect::bisect;
 use crate::coarsen::coarsen_once;
 use crate::graph::Graph;
-use crate::knapsack::knapsack_partition_dual;
 use crate::metrics::{
     combine_dual, dual_uniform, imbalance_dual, part_weights, partition_imbalance, weights_of,
 };
@@ -489,7 +488,7 @@ pub(crate) fn dual_repair(
     }
     let achieved = imbalance_dual(&wt1, &wt2, caps);
     if achieved > cfg.imbalance_tol * 1.10 {
-        let knap = knapsack_partition_dual(&g.vwgt, w2, cfg.nparts, caps);
+        let knap = dual_lpt(&g.vwgt, w2, cfg.nparts, caps);
         let kimb = imbalance_dual(
             &weights_of(&g.vwgt, &knap, cfg.nparts),
             &weights_of(w2, &knap, cfg.nparts),
@@ -498,6 +497,60 @@ pub(crate) fn dual_repair(
         if kimb < achieved {
             return knap;
         }
+    }
+    part
+}
+
+/// Dual-constraint LPT packing, the fallback of [`dual_repair`]: every
+/// vertex carries two weights and goes to the bin minimizing the
+/// post-assignment *max-of-constraints* effective load, where each
+/// constraint is normalized by its own total so neither scale dominates.
+/// Vertices are packed in descending combined-normalized-size order (id
+/// tie-break — a total order, so the result is deterministic).
+///
+/// The greedy bound: both per-constraint capacity-weighted imbalances stay
+/// below `2 + s_max · Σc / min(c)` where `s_max` is the largest combined
+/// normalized vertex size.
+fn dual_lpt(w1: &[u64], w2: &[u64], nparts: usize, caps: &[f64]) -> Vec<u32> {
+    assert_eq!(w1.len(), w2.len(), "one second weight per vertex");
+    assert_eq!(caps.len(), nparts, "one capacity per part");
+    let cap_sum: f64 = caps.iter().sum();
+    let caps: Vec<f64> = if cap_sum <= 0.0 || !cap_sum.is_finite() {
+        vec![1.0; nparts]
+    } else {
+        caps.to_vec()
+    };
+    let t1: u64 = w1.iter().sum();
+    let t2: u64 = w2.iter().sum();
+    let n1 = if t1 == 0 { 1.0 } else { t1 as f64 };
+    let n2 = if t2 == 0 { 1.0 } else { t2 as f64 };
+    let size = |v: usize| w1[v] as f64 / n1 + w2[v] as f64 / n2;
+    let mut order: Vec<u32> = (0..w1.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        size(b as usize)
+            .partial_cmp(&size(a as usize))
+            .unwrap()
+            .then(a.cmp(&b))
+    });
+    let mut part = vec![0u32; w1.len()];
+    let mut b1 = vec![0u64; nparts];
+    let mut b2 = vec![0u64; nparts];
+    for &v in &order {
+        let v = v as usize;
+        let mut best = 0usize;
+        let mut best_load = f64::INFINITY;
+        for p in 0..nparts {
+            let l1 = (b1[p] + w1[v]) as f64 / n1;
+            let l2 = (b2[p] + w2[v]) as f64 / n2;
+            let load = l1.max(l2) / caps[p];
+            if load < best_load {
+                best = p;
+                best_load = load;
+            }
+        }
+        part[v] = best as u32;
+        b1[best] += w1[v];
+        b2[best] += w2[v];
     }
     part
 }
@@ -820,5 +873,42 @@ pub(crate) mod tests {
         let part = partition_kway(&g, &PartitionConfig::new(4));
         let q = quality(&g, &part, 4);
         assert_eq!(q.weights.iter().sum::<u64>(), 4);
+    }
+
+    proptest::proptest! {
+        /// The dual LPT fallback: exact cover, and *both* per-constraint
+        /// capacity-weighted imbalances stay under the dual greedy bound
+        /// `2 + s_max·Σc/min(c)`, where `s_max` is the largest combined
+        /// totals-normalized vertex size. (Each placement minimizes the
+        /// post-assignment max-of-constraints effective load, so at the end
+        /// every bin was within one vertex of the minimum when it last grew;
+        /// summing over bins gives the ceiling for each constraint.)
+        #[test]
+        fn dual_lpt_respects_the_dual_greedy_bound(
+            w1seed in proptest::collection::vec(1u64..50, 160),
+            w2seed in proptest::collection::vec(1u64..50, 160),
+            n in 30usize..160,
+            p in 2usize..9,
+            caps in proptest::collection::vec(0.5f64..2.0, 8),
+        ) {
+            use crate::metrics::imbalance_weighted;
+            let w1 = &w1seed[..n];
+            let w2 = &w2seed[..n];
+            let part = dual_lpt(w1, w2, p, &caps[..p]);
+            proptest::prop_assert_eq!(part.len(), n);
+            proptest::prop_assert!(part.iter().all(|&q| (q as usize) < p));
+            let t1: u64 = w1.iter().sum();
+            let t2: u64 = w2.iter().sum();
+            let s_max = (0..n)
+                .map(|v| w1[v] as f64 / t1 as f64 + w2[v] as f64 / t2 as f64)
+                .fold(0.0, f64::max);
+            let csum: f64 = caps[..p].iter().sum();
+            let cmin = caps[..p].iter().cloned().fold(f64::INFINITY, f64::min);
+            let bound = 2.0 + s_max * csum / cmin + 1e-6;
+            let i1 = imbalance_weighted(&weights_of(w1, &part, p), &caps[..p]);
+            let i2 = imbalance_weighted(&weights_of(w2, &part, p), &caps[..p]);
+            proptest::prop_assert!(i1 <= bound, "constraint 1 imbalance {} beyond dual bound {}", i1, bound);
+            proptest::prop_assert!(i2 <= bound, "constraint 2 imbalance {} beyond dual bound {}", i2, bound);
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! growing on the coarsest graph, and boundary-greedy refinement during
 //! uncoarsening. A dedicated repartitioning entry point seeds from the
 //! previous partition so most dual vertices stay put and remapping volume
-//! stays low — the property §4.2 of the paper relies on.
+//! stays low — the property §4.2 of the paper relies on. Mild imbalance
+//! takes the cheap path instead: boundary diffusion along a space-filling
+//! curve ([`sfc_diffuse`]).
 //!
 //! ```
 //! use plum_partition::{Graph, PartitionConfig, partition_kway, quality};
@@ -21,11 +23,8 @@
 
 mod bisect;
 mod coarsen;
-mod diffusion;
-mod diffusion2;
 mod distributed;
 mod graph;
-mod knapsack;
 mod kway;
 mod metrics;
 #[cfg(test)]
@@ -33,23 +32,13 @@ mod proptests;
 mod repart;
 mod rng;
 mod sfc;
-mod voronoi;
 
 pub use bisect::{bisect, grow_bisection, refine_bisection};
 pub use coarsen::{coarsen_once, contract, heavy_edge_matching};
-pub use diffusion::{diffuse, DiffusionConfig, DiffusionResult};
-pub use diffusion2::{
-    diffusion2_balance, diffusion2_balance_dual, diffusion2_body, diffusion2_body_dual,
-    diffusion2_distributed, rank_adjacency, solve_flows, FlowSolve, DIFFUSION2_MAX_ROUNDS,
-};
 pub use distributed::{
     repartition_body, repartition_body_dual, repartition_distributed, DistPartition,
 };
 pub use graph::{Graph, GraphView};
-pub use knapsack::{
-    knapsack_body, knapsack_body_dual, knapsack_distributed, knapsack_partition,
-    knapsack_partition_dual,
-};
 pub use kway::{
     partition_kway, partition_kway_dual, partition_kway_weighted, quality, PartitionConfig,
     PartitionQuality,
@@ -58,14 +47,8 @@ pub use metrics::{
     dual_uniform, edge_cut, imbalance, imbalance_dual, imbalance_weighted, migration, part_weights,
     partition_imbalance, weights_of,
 };
-pub use repart::{repartition_kway, repartition_kway_dual, repartition_kway_weighted};
+pub use repart::{
+    multilevel_serial, repartition_kway, repartition_kway_dual, repartition_kway_weighted,
+};
 pub use rng::Rng;
-pub use sfc::{
-    sfc_body, sfc_body_dual, sfc_diffuse, sfc_diffuse_body, sfc_diffuse_body_dual,
-    sfc_diffuse_dual, sfc_distributed, sfc_effective_imbalance, sfc_effective_imbalance_dual,
-    sfc_order, sfc_partition, sfc_partition_dual, sfc_split, sfc_split_dual,
-};
-pub use voronoi::{
-    voronoi_balance, voronoi_balance_dual, voronoi_body, voronoi_body_dual, voronoi_distributed,
-    voronoi_partition, voronoi_partition_dual, VORONOI_ROUNDS,
-};
+pub use sfc::{sfc_diffuse, sfc_diffuse_body, sfc_distributed, sfc_effective_imbalance, sfc_order};

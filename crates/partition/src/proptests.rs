@@ -246,41 +246,7 @@ proptest! {
         }
     }
 
-    /// (d) The SFC split is an exact cover and every part's weight stays
-    /// under its capacity-proportional share plus one vertex of granularity
-    /// — the cursor advances before assigning, so no part can overshoot by
-    /// more than the vertex that crossed its target.
-    #[test]
-    fn sfc_split_respects_capacity_shares(
-        keyseed in proptest::collection::vec(any::<u64>(), 160),
-        wseed in proptest::collection::vec(1u64..9, 160),
-        n in 30usize..160,
-        p in 2usize..9,
-        caps in proptest::collection::vec(0.5f64..2.0, 8),
-    ) {
-        let keys = &keyseed[..n];
-        let vwgt = &wseed[..n];
-        let part = crate::sfc::sfc_split(keys, vwgt, p, &caps[..p]);
-        prop_assert_eq!(part.len(), n, "split must cover every vertex");
-        prop_assert!(part.iter().all(|&q| (q as usize) < p), "part id out of range");
-        let mut w = vec![0u64; p];
-        for v in 0..n {
-            w[part[v] as usize] += vwgt[v];
-        }
-        let total: u64 = vwgt.iter().sum();
-        let csum: f64 = caps[..p].iter().sum();
-        let maxv = *vwgt.iter().max().unwrap();
-        for q in 0..p {
-            let share = total as f64 * caps[q] / csum;
-            prop_assert!(
-                w[q] as f64 <= share + maxv as f64 + 1e-6,
-                "part {} weighs {} > share {} + granularity {}",
-                q, w[q], share, maxv
-            );
-        }
-    }
-
-    /// (e) Boundary diffusion is monotone: from an *arbitrary* previous
+    /// (d) Boundary diffusion is monotone: from an *arbitrary* previous
     /// labelling it never increases the effective (capacity-weighted)
     /// imbalance, never invents part ids, and touches nothing when the
     /// input is already a single part.
@@ -296,11 +262,11 @@ proptest! {
         let keys = &keyseed[..n];
         let vwgt = &wseed[..n];
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        let out = crate::sfc::sfc_diffuse(keys, vwgt, &prev, p, &caps[..p]);
+        let out = crate::sfc::sfc_diffuse(keys, vwgt, None, &prev, p, &caps[..p]);
         prop_assert_eq!(out.len(), n);
         prop_assert!(out.iter().all(|&q| (q as usize) < p));
-        let before = crate::sfc::sfc_effective_imbalance(vwgt, &prev, p, &caps[..p]);
-        let after = crate::sfc::sfc_effective_imbalance(vwgt, &out, p, &caps[..p]);
+        let before = crate::sfc::sfc_effective_imbalance(vwgt, None, &prev, p, &caps[..p]);
+        let after = crate::sfc::sfc_effective_imbalance(vwgt, None, &out, p, &caps[..p]);
         prop_assert!(
             after <= before + 1e-9,
             "diffusion worsened imbalance: {} -> {}",
@@ -308,42 +274,7 @@ proptest! {
         );
     }
 
-    /// (g) Dual-constraint LPT packing: exact cover, and *both*
-    /// per-constraint capacity-weighted imbalances stay under the dual
-    /// greedy bound `2 + s_max·Σc/min(c)`, where `s_max` is the largest
-    /// combined totals-normalized vertex size. (Each placement minimizes
-    /// the post-assignment max-of-constraints effective load, so at the
-    /// end every bin was within one vertex of the minimum when it last
-    /// grew; summing over bins gives the ceiling for each constraint.)
-    #[test]
-    fn dual_knapsack_respects_the_dual_greedy_bound(
-        w1seed in proptest::collection::vec(1u64..50, 160),
-        w2seed in proptest::collection::vec(1u64..50, 160),
-        n in 30usize..160,
-        p in 2usize..9,
-        caps in proptest::collection::vec(0.5f64..2.0, 8),
-    ) {
-        use crate::metrics::{imbalance_weighted, weights_of};
-        let w1 = &w1seed[..n];
-        let w2 = &w2seed[..n];
-        let part = crate::knapsack::knapsack_partition_dual(w1, w2, p, &caps[..p]);
-        prop_assert_eq!(part.len(), n);
-        prop_assert!(part.iter().all(|&q| (q as usize) < p));
-        let t1: u64 = w1.iter().sum();
-        let t2: u64 = w2.iter().sum();
-        let s_max = (0..n)
-            .map(|v| w1[v] as f64 / t1 as f64 + w2[v] as f64 / t2 as f64)
-            .fold(0.0, f64::max);
-        let csum: f64 = caps[..p].iter().sum();
-        let cmin = caps[..p].iter().cloned().fold(f64::INFINITY, f64::min);
-        let bound = 2.0 + s_max * csum / cmin + 1e-6;
-        let i1 = imbalance_weighted(&weights_of(w1, &part, p), &caps[..p]);
-        let i2 = imbalance_weighted(&weights_of(w2, &part, p), &caps[..p]);
-        prop_assert!(i1 <= bound, "constraint 1 imbalance {} beyond dual bound {}", i1, bound);
-        prop_assert!(i2 <= bound, "constraint 2 imbalance {} beyond dual bound {}", i2, bound);
-    }
-
-    /// (h) The dual multilevel and repartitioning entry points inherit the
+    /// (e) The dual multilevel and repartitioning entry points inherit the
     /// dual greedy ceiling unconditionally: every exit branch of
     /// `dual_repair` returns either a pair within `tol·1.10` or the better
     /// of the graph result and the dual LPT packing, so both constraints
@@ -386,7 +317,7 @@ proptest! {
         prop_assert!(i2 <= bound, "constraint 2 imbalance {} beyond ceiling {}", i2, bound);
     }
 
-    /// (i) Every dual kernel reduces *bit-exactly* to its single-constraint
+    /// (f) Every dual kernel reduces *bit-exactly* to its single-constraint
     /// counterpart when the second weight vector is uniform — the session
     /// engine can therefore route everything through the dual entry points
     /// without perturbing single-constraint goldens.
@@ -407,20 +338,8 @@ proptest! {
         let mut cfg = PartitionConfig::new(p);
         cfg.coarsen_to = 24;
         prop_assert_eq!(
-            crate::knapsack::knapsack_partition_dual(&g.vwgt, &w2, p, &caps[..p]),
-            crate::knapsack::knapsack_partition(&g.vwgt, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::sfc::sfc_split_dual(keys, &g.vwgt, &w2, p, &caps[..p]),
-            crate::sfc::sfc_split(keys, &g.vwgt, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::sfc::sfc_diffuse_dual(keys, &g.vwgt, &w2, &prev, p, &caps[..p]),
-            crate::sfc::sfc_diffuse(keys, &g.vwgt, &prev, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            crate::sfc::sfc_partition_dual(keys, &g.vwgt, &w2, p, &caps[..p]),
-            crate::sfc::sfc_partition(keys, &g.vwgt, p, &caps[..p])
+            crate::sfc::sfc_diffuse(keys, &g.vwgt, Some(&w2), &prev, p, &caps[..p]),
+            crate::sfc::sfc_diffuse(keys, &g.vwgt, None, &prev, p, &caps[..p])
         );
         prop_assert_eq!(
             crate::kway::partition_kway_dual(&g, &w2, &cfg, &caps[..p]),
@@ -432,7 +351,7 @@ proptest! {
         );
     }
 
-    /// (j) Dual boundary diffusion is monotone in the *binding* constraint:
+    /// (g) Dual boundary diffusion is monotone in the *binding* constraint:
     /// from an arbitrary previous labelling it never increases the
     /// max-of-imbalances objective and never invents part ids.
     #[test]
@@ -449,233 +368,15 @@ proptest! {
         let w1 = &w1seed[..n];
         let w2 = &w2seed[..n];
         let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        let out = crate::sfc::sfc_diffuse_dual(keys, w1, w2, &prev, p, &caps[..p]);
+        let out = crate::sfc::sfc_diffuse(keys, w1, Some(w2), &prev, p, &caps[..p]);
         prop_assert_eq!(out.len(), n);
         prop_assert!(out.iter().all(|&q| (q as usize) < p));
-        let before = crate::sfc::sfc_effective_imbalance_dual(w1, w2, &prev, p, &caps[..p]);
-        let after = crate::sfc::sfc_effective_imbalance_dual(w1, w2, &out, p, &caps[..p]);
+        let before = crate::sfc::sfc_effective_imbalance(w1, Some(w2), &prev, p, &caps[..p]);
+        let after = crate::sfc::sfc_effective_imbalance(w1, Some(w2), &out, p, &caps[..p]);
         prop_assert!(
             after <= before + 1e-9,
             "dual diffusion worsened the binding imbalance: {} -> {}",
             before, after
-        );
-    }
-
-    /// (k) Second-order diffusion flow solve: every executed round is
-    /// flow-conserving (the signed per-part deltas sum to zero), and the
-    /// cumulative flows reproduce the final deviation exactly — the flows
-    /// *are* the transcript of the solve, not an approximation of it.
-    #[test]
-    fn diffusion_flow_solve_conserves_per_round_and_in_total(
-        n in 4usize..16,
-        extra in proptest::collection::vec((0u32..1024, 0u32..1024), 8),
-        loadseed in proptest::collection::vec(1u64..100, 16),
-        second_order in any::<bool>(),
-    ) {
-        use crate::diffusion2::solve_flows;
-        let g = random_graph(n, &extra);
-        let adj: Vec<Vec<usize>> = (0..n)
-            .map(|v| g.edges(v).map(|(u, _)| u as usize).collect())
-            .collect();
-        let total: u64 = loadseed[..n].iter().sum();
-        let mean = total as f64 / n as f64;
-        let dev: Vec<f64> = loadseed[..n].iter().map(|&w| w as f64 - mean).collect();
-        let scale = dev.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        let solve = solve_flows(&adj, &dev, second_order, 400, 0.01 * mean);
-        for (round, rf) in solve.round_flows.iter().enumerate() {
-            let mut delta = vec![0.0f64; n];
-            for (e, &(p, q)) in solve.edges.iter().enumerate() {
-                delta[p as usize] -= rf[e];
-                delta[q as usize] += rf[e];
-            }
-            let net: f64 = delta.iter().sum();
-            prop_assert!(
-                net.abs() <= 1e-9 * scale.max(1.0),
-                "round {} leaks weight: net {}", round, net
-            );
-        }
-        let mut fin = dev.clone();
-        for (e, &(p, q)) in solve.edges.iter().enumerate() {
-            fin[p as usize] -= solve.flows[e];
-            fin[q as usize] += solve.flows[e];
-        }
-        let per_round_sum: Vec<f64> = solve.edges.iter().enumerate().map(|(e, _)| {
-            solve.round_flows.iter().map(|rf| rf[e]).sum()
-        }).collect();
-        for (e, &f) in solve.flows.iter().enumerate() {
-            prop_assert!(
-                (f - per_round_sum[e]).abs() <= 1e-9 * scale.max(1.0),
-                "cumulative flow {} diverges from its round transcript {}",
-                f, per_round_sum[e]
-            );
-        }
-        if solve.rounds < 400 && !solve.edges.is_empty() {
-            let worst = fin.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            prop_assert!(
-                worst <= 0.01 * mean + 1e-9,
-                "converged solve left deviation {}", worst
-            );
-        }
-    }
-
-    /// (k') The element-level kernel conserves the total weight exactly in
-    /// u64 (every vertex keeps exactly one part), never invents part ids,
-    /// and never worsens the capacity-weighted imbalance.
-    #[test]
-    fn diffusion2_balance_conserves_u64_weight_and_is_monotone(
-        n in 24usize..96,
-        extra in proptest::collection::vec((0u32..1024, 0u32..1024), 32),
-        prevseed in proptest::collection::vec(0u32..8, 96),
-        p in 2usize..6,
-        caps in proptest::collection::vec(0.5f64..2.0, 8),
-    ) {
-        use crate::diffusion2::diffusion2_balance;
-        use crate::metrics::{imbalance_weighted, weights_of};
-        let g = random_graph(n, &extra);
-        let prev: Vec<u32> = (0..n).map(|v| prevseed[v % prevseed.len()] % p as u32).collect();
-        let part = diffusion2_balance(&g, &prev, p, &caps[..p]);
-        prop_assert_eq!(part.len(), n);
-        prop_assert!(part.iter().all(|&q| (q as usize) < p));
-        let before_w = weights_of(&g.vwgt, &prev, p);
-        let after_w = weights_of(&g.vwgt, &part, p);
-        prop_assert_eq!(
-            before_w.iter().sum::<u64>(), after_w.iter().sum::<u64>(),
-            "diffusion must conserve the total weight exactly"
-        );
-        let before = imbalance_weighted(&before_w, &caps[..p]);
-        let after = imbalance_weighted(&after_w, &caps[..p]);
-        prop_assert!(
-            after <= before + 1e-9,
-            "diffusion2 worsened imbalance: {} -> {}", before, after
-        );
-    }
-
-    /// (l) Chebyshev acceleration: on random rank graphs the second-order
-    /// solve needs no more rounds than first order (up to a small constant
-    /// start-up slack on trivially-converging instances) and still
-    /// converges whenever first order does.
-    #[test]
-    fn chebyshev_needs_no_more_rounds_than_first_order(
-        n in 4usize..16,
-        extra in proptest::collection::vec((0u32..1024, 0u32..1024), 8),
-        loadseed in proptest::collection::vec(1u64..100, 16),
-    ) {
-        use crate::diffusion2::solve_flows;
-        let g = random_graph(n, &extra);
-        let adj: Vec<Vec<usize>> = (0..n)
-            .map(|v| g.edges(v).map(|(u, _)| u as usize).collect())
-            .collect();
-        let total: u64 = loadseed[..n].iter().sum();
-        let mean = total as f64 / n as f64;
-        let dev: Vec<f64> = loadseed[..n].iter().map(|&w| w as f64 - mean).collect();
-        let tol = 0.02 * mean;
-        let fo = solve_flows(&adj, &dev, false, 400, tol);
-        let so = solve_flows(&adj, &dev, true, 400, tol);
-        if fo.rounds < 400 {
-            prop_assert!(so.rounds < 400, "first order converged but SOS did not");
-        }
-        // The SOS recurrence only kicks in at round 2, so allow a small
-        // constant slack on instances first order finishes immediately.
-        let bound = if fo.rounds >= 10 { fo.rounds } else { fo.rounds + 4 };
-        prop_assert!(
-            so.rounds <= bound,
-            "second order took {} rounds, first order {}", so.rounds, fo.rounds
-        );
-    }
-
-    /// (m) Voronoi balancing terminates in its fixed round budget for any
-    /// input, is an exact cover, and never worsens the capacity-weighted
-    /// imbalance relative to the seed partition.
-    #[test]
-    fn voronoi_is_total_and_monotone_under_random_capacities(
-        keyseed in proptest::collection::vec(any::<u64>(), 160),
-        wseed in proptest::collection::vec(1u64..9, 160),
-        prevseed in proptest::collection::vec(0u32..8, 160),
-        n in 30usize..160,
-        p in 2usize..9,
-        caps in proptest::collection::vec(0.5f64..2.0, 8),
-    ) {
-        use crate::metrics::{imbalance_weighted, weights_of};
-        use crate::voronoi::{voronoi_balance, voronoi_partition};
-        let keys = &keyseed[..n];
-        let vwgt = &wseed[..n];
-        let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        let out = voronoi_balance(keys, vwgt, &prev, p, &caps[..p]);
-        prop_assert_eq!(out.len(), n);
-        prop_assert!(out.iter().all(|&q| (q as usize) < p));
-        let before = imbalance_weighted(&weights_of(vwgt, &prev, p), &caps[..p]);
-        let after = imbalance_weighted(&weights_of(vwgt, &out, p), &caps[..p]);
-        prop_assert!(
-            after <= before + 1e-9,
-            "voronoi worsened imbalance: {} -> {}", before, after
-        );
-        let fresh = voronoi_partition(keys, vwgt, p, &caps[..p]);
-        prop_assert_eq!(fresh.len(), n);
-        prop_assert!(fresh.iter().all(|&q| (q as usize) < p));
-    }
-
-    /// (n) The new balancers' dual kernels reduce bit-exactly to their
-    /// single-constraint counterparts when the second weight vector is
-    /// uniform — same contract as test (i) for the PR 6 portfolio.
-    #[test]
-    fn new_balancer_duals_reduce_bit_exactly_when_uniform(
-        n in 24usize..80,
-        extra in proptest::collection::vec((0u32..1024, 0u32..1024), 24),
-        keyseed in proptest::collection::vec(any::<u64>(), 80),
-        prevseed in proptest::collection::vec(0u32..8, 80),
-        c in 1u64..9,
-        p in 2usize..6,
-        caps in proptest::collection::vec(0.5f64..2.0, 8),
-    ) {
-        use crate::diffusion2::{diffusion2_balance, diffusion2_balance_dual};
-        use crate::voronoi::{
-            voronoi_balance, voronoi_balance_dual, voronoi_partition, voronoi_partition_dual,
-        };
-        let g = random_graph(n, &extra);
-        let w2 = vec![c; n];
-        let keys = &keyseed[..n];
-        let prev: Vec<u32> = (0..n).map(|v| prevseed[v] % p as u32).collect();
-        prop_assert_eq!(
-            diffusion2_balance_dual(&g, &w2, &prev, p, &caps[..p]),
-            diffusion2_balance(&g, &prev, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            voronoi_balance_dual(keys, &g.vwgt, &w2, &prev, p, &caps[..p]),
-            voronoi_balance(keys, &g.vwgt, &prev, p, &caps[..p])
-        );
-        prop_assert_eq!(
-            voronoi_partition_dual(keys, &g.vwgt, &w2, p, &caps[..p]),
-            voronoi_partition(keys, &g.vwgt, p, &caps[..p])
-        );
-    }
-
-    /// (f) LPT knapsack packing: exact cover, and the heaviest effective
-    /// (capacity-scaled) bin load stays under the ideal `Σw/Σc` plus the
-    /// greedy bound's one-job slack `max(w)/min(c)`.
-    #[test]
-    fn knapsack_respects_the_greedy_bound(
-        wseed in proptest::collection::vec(1u64..50, 160),
-        n in 30usize..160,
-        p in 2usize..9,
-        caps in proptest::collection::vec(0.5f64..2.0, 8),
-    ) {
-        let vwgt = &wseed[..n];
-        let part = crate::knapsack::knapsack_partition(vwgt, p, &caps[..p]);
-        prop_assert_eq!(part.len(), n);
-        prop_assert!(part.iter().all(|&q| (q as usize) < p));
-        let mut w = vec![0u64; p];
-        for v in 0..n {
-            w[part[v] as usize] += vwgt[v];
-        }
-        let total: u64 = vwgt.iter().sum();
-        let csum: f64 = caps[..p].iter().sum();
-        let cmin = caps[..p].iter().cloned().fold(f64::INFINITY, f64::min);
-        let maxv = *vwgt.iter().max().unwrap();
-        let worst = (0..p).map(|q| w[q] as f64 / caps[q]).fold(0.0, f64::max);
-        prop_assert!(
-            worst <= total as f64 / csum + maxv as f64 / cmin + 1e-6,
-            "effective max load {} beyond the LPT bound ({} ideal + {} slack)",
-            worst, total as f64 / csum, maxv as f64 / cmin
         );
     }
 }

@@ -11,7 +11,7 @@
 use crate::graph::Graph;
 use crate::kway::{
     capacity_fractions, combined_view, dual_repair, kway_balance, kway_refine_pass, part_ceilings,
-    partition_kway_impl, PartitionConfig,
+    partition_kway_dual, partition_kway_impl, partition_kway_weighted, PartitionConfig,
 };
 use crate::metrics::{dual_uniform, imbalance_weighted, part_weights, partition_imbalance};
 use crate::rng::Rng;
@@ -60,6 +60,24 @@ pub fn repartition_kway_dual(
     let frac = capacity_fractions(caps, cfg.nparts);
     let part = repartition_diffuse(&combined_view(g, w2), cfg, prev, frac.as_deref());
     dual_repair(g, w2, cfg, frac.as_deref(), caps, part)
+}
+
+/// The serial multilevel kernel in every mode the load balancer uses:
+/// seeded from `prev` (repartitioning) or fresh, over one weight vector or
+/// two (`w2`, e.g. particle counts), toward capacity-proportional parts.
+pub fn multilevel_serial(
+    g: &Graph,
+    w2: Option<&[u64]>,
+    cfg: &PartitionConfig,
+    prev: Option<&[u32]>,
+    caps: &[f64],
+) -> Vec<u32> {
+    match (prev, w2) {
+        (Some(prev), Some(w2)) => repartition_kway_dual(g, w2, cfg, prev, caps),
+        (Some(prev), None) => repartition_kway_weighted(g, cfg, prev, caps),
+        (None, Some(w2)) => partition_kway_dual(g, w2, cfg, caps),
+        (None, None) => partition_kway_weighted(g, cfg, caps),
+    }
 }
 
 /// The diffusion core: balance/refine rounds from `prev`, *without* the

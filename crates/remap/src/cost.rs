@@ -72,9 +72,11 @@ impl CostModel {
     }
 
     /// Redistribution cost `M·C·T_lat + N·T_setup` for `elems` elements in
-    /// `msgs` messages.
+    /// `msgs` messages. `M·C` is formed in f64: it cannot overflow, and it
+    /// is exact (so identical to the integer product) below 2^53.
     pub fn redistribution_cost(&self, elems: u64, msgs: u64) -> f64 {
-        (self.m_words * elems) as f64 * self.machine.t_word + msgs as f64 * self.machine.t_setup
+        self.m_words as f64 * elems as f64 * self.machine.t_word
+            + msgs as f64 * self.machine.t_setup
     }
 
     /// The acceptance test: is the gain strictly larger than the cost?
@@ -122,6 +124,20 @@ mod tests {
         let c_big = m.redistribution_cost(100_000, 10);
         assert!((c_small - 10.0 * m.machine.t_setup).abs() < 1e-12);
         assert!(c_big > c_small);
+    }
+
+    #[test]
+    fn cost_of_huge_word_counts_does_not_overflow() {
+        // Per-element storage this large makes M·C exceed u64 once more
+        // than ~10^6 elements move.
+        let m = CostModel {
+            m_words: u64::MAX / 1_000_000,
+            ..CostModel::default()
+        };
+        let one_million = m.redistribution_cost(1_000_000, 1);
+        let two_million = m.redistribution_cost(2_000_000, 1);
+        assert!(two_million.is_finite());
+        assert!(two_million > one_million, "{two_million} vs {one_million}");
     }
 
     #[test]

@@ -14,10 +14,8 @@ use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_mesh::{DualGraph, SfcCurve};
 use plum_parsim::{check_protocol, MachineModel};
 use plum_partition::{
-    diffusion2_balance, diffusion2_distributed, imbalance_weighted, knapsack_distributed,
-    knapsack_partition, part_weights, partition_kway, quality, repartition_distributed,
-    repartition_kway_weighted, sfc_diffuse, sfc_distributed, sfc_partition, voronoi_balance,
-    voronoi_distributed, voronoi_partition, Graph, PartitionConfig,
+    imbalance_weighted, part_weights, partition_kway, quality, repartition_distributed,
+    repartition_kway_weighted, sfc_diffuse, sfc_distributed, Graph, PartitionConfig,
 };
 
 const PROC_COUNTS: [usize; 3] = [2, 8, 64];
@@ -35,7 +33,7 @@ fn fig6_quick_graph() -> Graph<'static> {
 }
 
 /// Same graph plus the Hilbert keys of its elements' centroids — the inputs
-/// the portfolio's geometric methods consume.
+/// SFC boundary diffusion consumes.
 fn fig6_quick_graph_with_keys() -> (Graph<'static>, Vec<u64>) {
     let (nx, ny, nz) = box_dims_for_elements(6_000);
     let mesh = box_mesh(nx, ny, nz, [0.0; 3], [1.0; 3]);
@@ -194,7 +192,7 @@ fn weighted_capacities_shift_load_and_respect_ceilings() {
 }
 
 // ---------------------------------------------------------------------------
-// Portfolio battery: the geometric methods against their serial kernels.
+// Portfolio battery: SFC boundary diffusion against its serial kernel.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -205,26 +203,12 @@ fn portfolio_distributed_kernels_match_serial_at_all_proc_counts() {
         let prev = seed_partition(&g, p);
         let caps = vec![1.0; p];
 
-        let serial_sfc = sfc_partition(&keys, vwgt, p, &caps);
-        let dist_sfc = sfc_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            None,
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist_sfc.part, serial_sfc, "P={p}: SFC split diverged");
-
-        let serial_diff = sfc_diffuse(&keys, vwgt, &prev, p, &caps);
+        let serial_diff = sfc_diffuse(&keys, vwgt, None, &prev, p, &caps);
         let dist_diff = sfc_distributed(
             &keys,
             vwgt,
             &prev,
-            Some(&prev),
+            &prev,
             p,
             &caps,
             p,
@@ -232,155 +216,43 @@ fn portfolio_distributed_kernels_match_serial_at_all_proc_counts() {
             VERTEX_UNITS,
         );
         assert_eq!(dist_diff.part, serial_diff, "P={p}: diffusion diverged");
-
-        let serial_knap = knapsack_partition(vwgt, p, &caps);
-        let dist_knap =
-            knapsack_distributed(vwgt, &prev, p, &caps, p, MachineModel::sp2(), VERTEX_UNITS);
-        assert_eq!(dist_knap.part, serial_knap, "P={p}: knapsack diverged");
+        assert!(dist_diff.makespan > 0.0, "P={p}: partitioning took no time");
 
         // Machine-model invariance: the zero model changes only the clock.
         let zero = sfc_distributed(
             &keys,
             vwgt,
             &prev,
-            None,
+            &prev,
             p,
             &caps,
             p,
             MachineModel::zero(),
             0.0,
-        );
-        assert_eq!(zero.part, serial_sfc, "P={p}: SFC depends on the model");
-        assert!(
-            dist_sfc.makespan > zero.makespan,
-            "P={p}: sp2 must cost time"
-        );
-    }
-}
-
-#[test]
-fn sfc_split_respects_capacity_shares_on_fig6() {
-    let (g, keys) = fig6_quick_graph_with_keys();
-    let vwgt: &[u64] = &g.vwgt;
-    let total: u64 = vwgt.iter().sum();
-    let maxv = *vwgt.iter().max().unwrap();
-    for &p in &PROC_COUNTS {
-        let caps: Vec<f64> = (0..p).map(|r| if r == 0 { 2.0 } else { 1.0 }).collect();
-        let part = sfc_partition(&keys, vwgt, p, &caps);
-        let w = part_weights(&g, &part, p);
-        let csum: f64 = caps.iter().sum();
-        for q in 0..p {
-            let share = total as f64 * caps[q] / csum;
-            assert!(
-                w[q] as f64 <= share + maxv as f64 + 1e-6,
-                "P={p}: part {q} weighs {} > share {share} + {maxv}",
-                w[q]
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rematch battery: the second-order diffusion and Voronoi balancers
-// against their serial kernels — serial ≡ SPMD at every P, machine-model
-// invariance, and the P=64 trace invariants.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn diffusion2_distributed_matches_serial_at_all_proc_counts() {
-    let (g, _keys) = fig6_quick_graph_with_keys();
-    for &p in &PROC_COUNTS {
-        let prev = seed_partition(&g, p);
-        let caps = vec![1.0; p];
-        let serial = diffusion2_balance(&g, &prev, p, &caps);
-        let dist = diffusion2_distributed(
-            &g,
-            &prev,
-            &prev,
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist.part, serial, "P={p}: diffusion2 diverged");
-        assert!(dist.makespan > 0.0, "P={p}: partitioning took no time");
-        // Machine-model invariance: the zero model changes only the clock.
-        let zero = diffusion2_distributed(&g, &prev, &prev, p, &caps, p, MachineModel::zero(), 0.0);
-        assert_eq!(zero.part, serial, "P={p}: diffusion2 depends on the model");
-        assert!(dist.makespan > zero.makespan, "P={p}: sp2 must cost time");
-        // The balancer must actually improve the seeded hotspot.
-        let before = imbalance_weighted(&part_weights(&g, &prev, p), &caps);
-        let after = imbalance_weighted(&part_weights(&g, &dist.part, p), &caps);
-        assert!(
-            after <= before + 1e-9,
-            "P={p}: diffusion2 worsened imbalance {before:.4} -> {after:.4}"
-        );
-    }
-}
-
-#[test]
-fn voronoi_distributed_matches_serial_at_all_proc_counts() {
-    let (g, keys) = fig6_quick_graph_with_keys();
-    let vwgt: &[u64] = &g.vwgt;
-    for &p in &PROC_COUNTS {
-        let prev = seed_partition(&g, p);
-        let caps = vec![1.0; p];
-
-        // Rebalance flavor (seeded with the previous partition).
-        let serial = voronoi_balance(&keys, vwgt, &prev, p, &caps);
-        let dist = voronoi_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            Some(&prev),
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
-        );
-        assert_eq!(dist.part, serial, "P={p}: voronoi balance diverged");
-        assert!(dist.makespan > 0.0, "P={p}: partitioning took no time");
-
-        // From-scratch flavor.
-        let serial_fresh = voronoi_partition(&keys, vwgt, p, &caps);
-        let dist_fresh = voronoi_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            None,
-            p,
-            &caps,
-            p,
-            MachineModel::sp2(),
-            VERTEX_UNITS,
         );
         assert_eq!(
-            dist_fresh.part, serial_fresh,
-            "P={p}: voronoi partition diverged"
+            zero.part, serial_diff,
+            "P={p}: diffusion depends on the model"
+        );
+        assert!(
+            dist_diff.makespan > zero.makespan,
+            "P={p}: sp2 must cost time"
         );
 
-        // Machine-model invariance.
-        let zero = voronoi_distributed(
-            &keys,
-            vwgt,
-            &prev,
-            Some(&prev),
-            p,
-            &caps,
-            p,
-            MachineModel::zero(),
-            0.0,
+        // The balancer must actually improve the seeded hotspot.
+        let before = imbalance_weighted(&part_weights(&g, &prev, p), &caps);
+        let after = imbalance_weighted(&part_weights(&g, &serial_diff, p), &caps);
+        assert!(
+            after <= before + 1e-9,
+            "P={p}: diffusion worsened imbalance {before:.4} -> {after:.4}"
         );
-        assert_eq!(zero.part, serial, "P={p}: voronoi depends on the model");
-        assert!(dist.makespan > zero.makespan, "P={p}: sp2 must cost time");
     }
 }
 
-/// Trace invariants of the new SPMD bodies at P = 64: the protocol checker
-/// finds nothing, and every rank's virtual time is fully accounted by the
-/// partition phase breakdown to 1e-9 relative.
+/// Trace invariants of the two rematch contenders' SPMD bodies at P = 64
+/// (multilevel and SFC diffusion): the protocol checker finds nothing, and
+/// every rank's virtual time is fully accounted by the partition phase
+/// breakdown to 1e-9 relative.
 #[test]
 fn rematch_bodies_are_protocol_clean_and_account_to_1e9_at_p64() {
     let (g, keys) = fig6_quick_graph_with_keys();
@@ -388,28 +260,28 @@ fn rematch_bodies_are_protocol_clean_and_account_to_1e9_at_p64() {
     let p = 64;
     let prev = seed_partition(&g, p);
     let caps = vec![1.0; p];
-    let d2 = diffusion2_distributed(
+    let ml = repartition_distributed(
         &g,
         &prev,
-        &prev,
-        p,
+        Some(&prev),
+        &PartitionConfig::new(p),
         &caps,
         p,
         MachineModel::sp2(),
         VERTEX_UNITS,
     );
-    let vor = voronoi_distributed(
+    let diff = sfc_distributed(
         &keys,
         vwgt,
         &prev,
-        Some(&prev),
+        &prev,
         p,
         &caps,
         p,
         MachineModel::sp2(),
         VERTEX_UNITS,
     );
-    for (name, dist) in [("diffusion2", &d2), ("voronoi", &vor)] {
+    for (name, dist) in [("multilevel", &ml), ("sfc_diffusion", &diff)] {
         let violations = check_protocol(&dist.trace);
         assert!(
             violations.is_empty(),
@@ -427,8 +299,8 @@ fn rematch_bodies_are_protocol_clean_and_account_to_1e9_at_p64() {
             (full - agg).abs() <= 1e-9 * full.max(1.0),
             "{name}: phase accounting {agg} vs rank accounting {full}"
         );
-        // Real traffic flowed: the moved-triple exchange and the weight
-        // allreduce are actual messages, not injected time.
+        // Real traffic flowed: the exchanges and the weight allreduces are
+        // actual messages, not injected time.
         assert!(summary.total_msgs() > 0, "{name}: no messages at P=64");
         assert!(summary.total_words() > 0, "{name}: no words at P=64");
     }
@@ -459,7 +331,7 @@ fn diffusion_makespan_undercuts_multilevel_5x_at_p64() {
         &keys,
         vwgt,
         &prev,
-        Some(&prev),
+        &prev,
         p,
         &caps,
         p,
