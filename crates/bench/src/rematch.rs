@@ -39,6 +39,7 @@
 use plum_core::{BalanceMethod, ChaosConfig, Plum, PlumConfig, RemapPolicy};
 use plum_mesh::generate::{box_dims_for_elements, box_mesh};
 use plum_obs::BenchReport;
+use plum_partition::{multilevel_route, MultilevelRoute};
 use plum_solver::WaveField;
 
 use crate::report::git_sha;
@@ -67,10 +68,55 @@ pub const REMATCH_IMBALANCE_TARGET: f64 = 1.1;
 /// jitter stream) — pinned so the BENCH report is deterministic.
 pub const REMATCH_CHAOS_SEED: u64 = 5;
 
+/// The code path a rematch cell's balancer ran, recorded as
+/// `info.rematch.path.<method>.p<P>` (the enum value). At or below
+/// `16 × nparts` vertices the multilevel repartitioner takes the rank-0
+/// gather path, so the cells of one method need not run the same code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RematchPath {
+    /// Parallel coarsening and distributed refinement.
+    DistributedMultilevel = 1,
+    /// Rows gathered to rank 0, serial multilevel kernel, result broadcast.
+    RankZeroGather = 2,
+    /// SFC boundary diffusion on replicated inputs.
+    SfcDiffusion = 3,
+}
+
+impl RematchPath {
+    /// Short name for the analysis table.
+    pub fn name(self) -> &'static str {
+        match self {
+            RematchPath::DistributedMultilevel => "distributed",
+            RematchPath::RankZeroGather => "rank0_gather",
+            RematchPath::SfcDiffusion => "sfc",
+        }
+    }
+}
+
+/// The path the balancer takes for `method` on `plum`'s current dual graph
+/// (the rule [`plum_partition::repartition_body`] branches on).
+fn balancer_path(plum: &Plum, method: BalanceMethod) -> RematchPath {
+    match method {
+        BalanceMethod::SfcDiffusion => RematchPath::SfcDiffusion,
+        BalanceMethod::Multilevel => {
+            let mut pcfg = plum.cfg.partition;
+            pcfg.nparts = plum.cfg.nparts();
+            match multilevel_route(plum.dual.n(), plum.wcomp2.as_deref(), &pcfg) {
+                MultilevelRoute::Distributed => RematchPath::DistributedMultilevel,
+                MultilevelRoute::RankZeroGather | MultilevelRoute::SinglePart => {
+                    RematchPath::RankZeroGather
+                }
+            }
+        }
+    }
+}
+
 /// One `(method, P, chaos)` cell of the rematch grid.
 #[derive(Debug, Clone)]
 pub struct RematchCell {
     pub method: BalanceMethod,
+    /// The code path every repartitioning cycle of the cell took.
+    pub path: RematchPath,
     pub nproc: usize,
     pub chaos: bool,
     pub cycles: usize,
@@ -152,8 +198,19 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
     let mut moved_elems = 0u64;
     let mut imbalance_after = f64::NAN;
     let mut capacity: Vec<f64> = vec![1.0; nproc];
+    let mut path = None;
     for cycle in 0..cycles {
+        let route = balancer_path(&plum, method);
         let r = plum.adaption_cycle(crate::CASES[0].1, 0.1);
+        if let Some(ran) = r.decision.method {
+            assert_eq!(ran, method, "rematch cell ran an unpinned method");
+            assert!(
+                path.is_none_or(|p| p == route),
+                "rematch {} P={nproc}: code path changed between cycles",
+                method.name()
+            );
+            path = Some(route);
+        }
         assert_clean(
             &r,
             &format!(
@@ -192,6 +249,7 @@ pub fn rematch_cell(method: BalanceMethod, nproc: usize, chaos: bool) -> Rematch
     let residual_seconds = cost.t_iter * cost.n_adapt as f64 * (eff_max - eff_avg).max(0.0);
     RematchCell {
         method,
+        path: path.expect("a pinned method repartitions at least once"),
         nproc,
         chaos,
         cycles,
@@ -282,15 +340,32 @@ pub fn rematch_bench() -> (BenchReport, String) {
         );
     }
 
+    for c in cells.iter().filter(|c| !c.chaos) {
+        assert!(
+            cells
+                .iter()
+                .filter(|x| x.method == c.method && x.nproc == c.nproc)
+                .all(|x| x.path == c.path),
+            "chaos changed the code path of {} at P={}",
+            c.method.name(),
+            c.nproc
+        );
+        b.set(
+            &format!("info.rematch.path.{}.p{}", c.method.name(), c.nproc),
+            c.path as u8 as f64,
+        );
+    }
+
     let mut analysis = format!(
         "rematch: global vs local balancers, {} cycles/cell, trigger 1.01, \
          ~{} elems/rank\n\
-         {:>6} {:>5} {:>13} | {:>12} {:>12} {:>9} {:>9} {:>10} {:>10}\n",
+         {:>6} {:>5} {:>13} {:>12} | {:>12} {:>12} {:>9} {:>9} {:>10} {:>10}\n",
         REMATCH_CYCLES,
         REMATCH_ELEMS_PER_RANK,
         "P",
         "chaos",
         "method",
+        "path",
         "virtual_s",
         "partition_s",
         "moved",
@@ -311,10 +386,11 @@ pub fn rematch_bench() -> (BenchReport, String) {
             {
                 let mark = if c.method == winner { " <= winner" } else { "" };
                 analysis.push_str(&format!(
-                    "{:>6} {:>5} {:>13} | {:>12.4} {:>12.4} {:>9} {:>9.3} {:>10.4} {:>10.4}{mark}\n",
+                    "{:>6} {:>5} {:>13} {:>12} | {:>12.4} {:>12.4} {:>9} {:>9.3} {:>10.4} {:>10.4}{mark}\n",
                     c.nproc,
                     c.chaos,
                     c.method.name(),
+                    c.path.name(),
                     c.virtual_seconds,
                     c.partition_seconds,
                     c.moved_elems,
@@ -461,6 +537,13 @@ mod tests {
         for method in REMATCH_METHODS {
             let c = rematch_cell(method, 8, false);
             assert_eq!(c.method, method);
+            // 8 ranks × 16 elements do not exceed the coarsening target
+            // (16 × 8 parts), so the multilevel cell solves on rank 0.
+            let path = match method {
+                BalanceMethod::Multilevel => RematchPath::RankZeroGather,
+                BalanceMethod::SfcDiffusion => RematchPath::SfcDiffusion,
+            };
+            assert_eq!(c.path, path);
             assert_eq!(c.cycles, REMATCH_CYCLES);
             assert!(c.virtual_seconds > 0.0, "{c:?}");
             assert!(c.partition_seconds > 0.0, "{c:?}");

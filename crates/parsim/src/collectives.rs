@@ -3,17 +3,26 @@
 //! All collectives must be called at the same program point by every rank
 //! (standard SPMD discipline). Every collective is tree-shaped or
 //! log-round so both the modeled virtual time *and* the per-rank message
-//! count scale as `O(log P)`:
+//! count scale as `O(log P)`. Message counts are totals over all ranks; `w`
+//! is the per-rank payload in words:
 //!
-//! * `bcast` — binomial tree, `P-1` messages total.
+//! * `bcast` — binomial tree, `P-1` messages of `w` words.
 //! * `gather` / `gatherv` / `reduce` — binomial tree toward the root,
-//!   `P-1` messages total. Reductions carry the raw per-rank values up the
-//!   tree and fold them once at the root in ascending rank order, so the
-//!   floating-point result is independent of the tree shape (and identical
-//!   to the historical flat implementation bit for bit).
+//!   `P-1` messages total. Each message carries the raw entries of the
+//!   sender's whole subtree (`s·w` words from a subtree of `s` ranks).
+//!   Reductions fold the raw values once at the root in ascending rank
+//!   order, so the floating-point result is independent of the tree shape
+//!   (and identical to the historical flat implementation bit for bit).
 //! * `scatter` — binomial tree away from the root, `P-1` messages total.
 //! * `allgather` / `allreduce` — tree gather to rank 0 plus binomial
 //!   broadcast, `2(P-1)` messages total.
+//! * `allreduce_sum_u64s` — elementwise `u64` vector sum folded at every
+//!   hop of the tree toward rank 0, then broadcast: `2(P-1)` messages of
+//!   exactly `w` words each (the vector length), whatever the subtree size.
+//! * `exscan` — exclusive prefix: an up-sweep folding each binomial
+//!   subtree toward rank 0, then a down-sweep handing each child the fold
+//!   of the ranks before it; `2(P-1)` messages of exactly `w` words each.
+//!   Operands are combined in ascending rank order.
 //! * `barrier` — dissemination, `P·ceil(log2 P)` one-word messages.
 //! * `alltoallv` / `alltoallv_sparse` — Bruck-style store-and-forward in
 //!   `ceil(log2 P)` rounds of one combined message per rank per round,
@@ -30,6 +39,8 @@ const TAG_SCATTER: Tag = (1 << 60) + 3;
 const TAG_REDUCE: Tag = (1 << 60) + 4;
 // Bruck all-to-all uses one tag per round: TAG_A2A, TAG_A2A+1, ...
 const TAG_A2A: Tag = (1 << 60) + 5;
+// Above every all-to-all round tag.
+const TAG_SCAN: Tag = 1 << 61;
 
 impl Comm {
     /// Dissemination barrier: `ceil(log2 P)` rounds of one-word messages.
@@ -250,6 +261,103 @@ impl Comm {
         };
         self.collective_exit(CollectiveKind::Allreduce);
         out
+    }
+
+    /// Elementwise sum of one `u64` vector per rank, result on every rank.
+    /// Every rank must pass the same length. Sums wrap modulo 2^64, so they
+    /// are exact whenever the true totals fit in a `u64`.
+    ///
+    /// Unlike [`Comm::allreduce`], which ships raw per-rank values to rank 0
+    /// so that floating-point folds keep one fixed order, the partial sums
+    /// are added at every hop of the binomial tree: each of the `2(P-1)`
+    /// messages carries exactly `values.len()` words.
+    pub fn allreduce_sum_u64s(&mut self, values: Vec<u64>) -> Vec<u64> {
+        self.collective_enter(CollectiveKind::Allreduce);
+        let p = self.nranks();
+        let rank = self.rank();
+        let words = values.len() as u64;
+        let mut acc = values;
+        let mut mask = 1;
+        while mask < p && rank & mask == 0 {
+            if rank + mask < p {
+                let child: Vec<u64> = self.recv(rank + mask, TAG_REDUCE);
+                assert_eq!(
+                    child.len(),
+                    acc.len(),
+                    "ranks disagree on the vector length"
+                );
+                for (x, y) in acc.iter_mut().zip(child) {
+                    *x = x.wrapping_add(y);
+                }
+            }
+            mask <<= 1;
+        }
+        let total = if rank == 0 {
+            Some(acc)
+        } else {
+            self.send(rank - mask, TAG_REDUCE, words, acc);
+            None
+        };
+        let out = self.bcast(0, words, total);
+        self.collective_exit(CollectiveKind::Allreduce);
+        out
+    }
+
+    /// Exclusive prefix scan: rank `r` receives `v_0 op v_1 op … op v_{r-1}`
+    /// (`None` on rank 0). `op` must be associative; operands are always
+    /// combined in ascending rank order, so it need not be commutative.
+    ///
+    /// Two sweeps over the binomial tree rooted at rank 0, whose subtrees
+    /// are contiguous rank ranges: the up-sweep folds each subtree toward
+    /// the root, the down-sweep hands every child the fold of all ranks
+    /// before its subtree. `2(P-1)` messages of `words` words each — the
+    /// message count of an allgather, with none of its `P`-fold payload.
+    pub fn exscan<T, F>(&mut self, words: u64, value: T, op: F) -> Option<T>
+    where
+        T: Clone + Send + 'static,
+        F: Fn(T, T) -> T,
+    {
+        self.collective_enter(CollectiveKind::Scan);
+        let p = self.nranks();
+        let rank = self.rank();
+        // Up-sweep: children `rank + mask` for masks below the lowest set
+        // bit of `rank`, each carrying its subtree's fold; then forward
+        // the fold of this rank's whole subtree to the parent.
+        let mut children: Vec<(usize, T)> = Vec::new();
+        let mut mask = 1;
+        while mask < p && rank & mask == 0 {
+            if rank + mask < p {
+                children.push((rank + mask, self.recv(rank + mask, TAG_SCAN)));
+            }
+            mask <<= 1;
+        }
+        let below = if rank == 0 {
+            None
+        } else {
+            let subtree = children
+                .iter()
+                .fold(value.clone(), |acc, (_, c)| op(acc, c.clone()));
+            self.send(rank - mask, TAG_SCAN, words, subtree);
+            Some(self.recv::<T>(rank - mask, TAG_SCAN))
+        };
+        // Down-sweep: child `c` needs everything before its subtree, i.e.
+        // `below`, this rank, and the subtrees of the smaller children.
+        // The largest subtree is served first, so no root-to-leaf path
+        // queues behind more than `ceil(log2 P)` send startups.
+        let mut running = match below.clone() {
+            Some(b) => op(b, value),
+            None => value,
+        };
+        let mut prefixes: Vec<(usize, T)> = Vec::with_capacity(children.len());
+        for (child, fold) in children {
+            let next = op(running.clone(), fold);
+            prefixes.push((child, std::mem::replace(&mut running, next)));
+        }
+        for (child, prefix) in prefixes.into_iter().rev() {
+            self.send(child, TAG_SCAN, words, prefix);
+        }
+        self.collective_exit(CollectiveKind::Scan);
+        below
     }
 
     /// Allreduce with `f64` addition.

@@ -1,6 +1,6 @@
 //! Minimal stackful fibers for the cooperative rank scheduler.
 //!
-//! Each virtual rank runs as a fiber: a heap-allocated stack plus a saved
+//! Each virtual rank runs as a fiber: a lazily committed stack plus a saved
 //! register context, switched to and from the scheduler with a hand-rolled
 //! context switch ([`fiber_switch`]) that saves exactly the callee-saved
 //! registers of the platform ABI. Blocking (an empty receive queue) calls
@@ -22,6 +22,7 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
 
 /// Quiet-unwind payload used to tear a suspended fiber down (deadlock
 /// poisoning, sibling-panic cleanup). Not a real error: the scheduler
@@ -49,16 +50,122 @@ pub(crate) fn stack_bytes() -> usize {
     })
 }
 
+/// The memory of one fiber stack, uninitialized.
+///
+/// On Linux each stack is an anonymous mapping of its own, so its pages
+/// stay virtual until the rank first touches them, which is what makes
+/// thousands of ranks cheap. A heap block would not be: once glibc's
+/// adaptive mmap threshold has risen past the stack size (it rises each
+/// time a larger mapped block is freed), malloc serves stack-sized blocks
+/// from recycled heap pages that are already resident, so the resident set
+/// of a session would depend on the allocation history before it.
+struct StackMem {
+    ptr: NonNull<MaybeUninit<u8>>,
+    len: usize,
+}
+
+// SAFETY: `StackMem` exclusively owns its memory, like the `Box` it
+// replaces; nothing else holds the pointer.
+unsafe impl Send for StackMem {}
+unsafe impl Sync for StackMem {}
+
+#[cfg(target_os = "linux")]
+impl StackMem {
+    fn new(len: usize) -> Self {
+        use std::ffi::c_void;
+        const PROT_READ: i32 = 0x1;
+        const PROT_WRITE: i32 = 0x2;
+        const MAP_PRIVATE: i32 = 0x02;
+        const MAP_ANONYMOUS: i32 = 0x20;
+        const MAP_NORESERVE: i32 = 0x4000;
+        extern "C" {
+            fn mmap(
+                addr: *mut c_void,
+                len: usize,
+                prot: i32,
+                flags: i32,
+                fd: i32,
+                offset: i64,
+            ) -> *mut c_void;
+        }
+        // SAFETY: a fresh private anonymous mapping aliases nothing.
+        let ptr = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        // `mmap` reports failure as `MAP_FAILED`, i.e. `(void *)-1`.
+        if ptr as usize == usize::MAX {
+            std::alloc::handle_alloc_error(
+                std::alloc::Layout::array::<u8>(len).expect("stack size"),
+            );
+        }
+        StackMem {
+            ptr: NonNull::new(ptr.cast()).expect("mmap never maps page 0"),
+            len,
+        }
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for StackMem {
+    fn drop(&mut self) {
+        extern "C" {
+            fn munmap(addr: *mut std::ffi::c_void, len: usize) -> i32;
+        }
+        // SAFETY: the range is exactly the mapping made in `new`.
+        let rc = unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
+        debug_assert_eq!(rc, 0, "munmap of a fiber stack failed");
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+impl StackMem {
+    fn new(len: usize) -> Self {
+        let mem: Box<[MaybeUninit<u8>]> = Box::new_uninit_slice(len);
+        let ptr = NonNull::new(Box::into_raw(mem).cast()).expect("boxes are non-null");
+        StackMem { ptr, len }
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+impl Drop for StackMem {
+    fn drop(&mut self) {
+        let slice = std::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len);
+        // SAFETY: `ptr`/`len` came from `Box::into_raw` in `new`.
+        drop(unsafe { Box::from_raw(slice) });
+    }
+}
+
+impl std::ops::Deref for StackMem {
+    type Target = [MaybeUninit<u8>];
+    fn deref(&self) -> &Self::Target {
+        // SAFETY: `len` bytes at `ptr` are owned by `self`; `MaybeUninit`
+        // needs no initialization.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl std::ops::DerefMut for StackMem {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        // SAFETY: as in `deref`, and `&mut self` makes the access unique.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
 /// A reusable fiber stack (pooled by the executor across session steps).
 pub(crate) struct FiberStack {
-    mem: Box<[MaybeUninit<u8>]>,
+    mem: StackMem,
 }
 
 impl FiberStack {
     pub(crate) fn new() -> Self {
-        // Uninitialized heap memory: the allocation is virtual until pages
-        // are first touched, which is what makes thousands of ranks cheap.
-        let mut mem = Box::new_uninit_slice(stack_bytes());
+        let mut mem = StackMem::new(stack_bytes());
         // Canary at the low end — the direction stacks grow into.
         for w in 0..CANARY_WORDS {
             let bytes = CANARY.to_ne_bytes();
@@ -396,6 +503,37 @@ extern "C" fn plum_fiber_entry(data: *const FiberData) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A new stack is resident only where `new` wrote its canary, even
+    /// when the heap holds freed, already resident blocks of stack size
+    /// that malloc would otherwise hand out.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn new_stack_is_not_resident_beyond_its_canary() {
+        extern "C" {
+            fn mincore(addr: *mut std::ffi::c_void, len: usize, vec: *mut u8) -> i32;
+        }
+        // Freeing a large mapped block raises glibc's mmap threshold past
+        // the stack size; then leave dirty stack-sized blocks on the heap.
+        drop(std::hint::black_box(vec![1u8; 8 * stack_bytes()]));
+        let dirty: Vec<Vec<u8>> = (0..8).map(|_| vec![1u8; stack_bytes()]).collect();
+        drop(std::hint::black_box(dirty));
+
+        let stack = FiberStack::new();
+        // One status byte per page; 4 KiB is the smallest page size, and
+        // bytes past the real page count stay 0.
+        let mut status = vec![0u8; stack.mem.len() / 4096 + 1];
+        let rc = unsafe {
+            mincore(
+                stack.mem.as_ptr() as *mut std::ffi::c_void,
+                stack.mem.len(),
+                status.as_mut_ptr(),
+            )
+        };
+        assert_eq!(rc, 0, "mincore failed");
+        let resident = status.iter().filter(|&&s| s & 1 == 1).count();
+        assert!(resident <= 1, "{resident} pages resident in a new stack");
+    }
 
     #[test]
     fn fiber_runs_to_completion() {

@@ -5,7 +5,73 @@
 
 use proptest::prelude::*;
 
-use crate::{spmd, FaultPlan, MachineModel, Perturbation, RankProfile, Session, TraceLog};
+use crate::{
+    check_protocol, spmd, Comm, FaultPlan, MachineModel, Perturbation, RankProfile, RankResult,
+    Session, TraceLog,
+};
+
+/// Deterministic per-(seed, rank, index) test value.
+fn val(seed: u64, rank: usize, i: usize) -> u64 {
+    let mut z = seed ^ (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64) << 32;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Elementwise wrapping sum of two equal-length vectors.
+fn vsum(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+    a.iter().zip(&b).map(|(x, y)| x.wrapping_add(*y)).collect()
+}
+
+/// Compose affine maps `x ↦ a·x + b` (mod 2^64): apply `f`, then `g`.
+/// Associative but not commutative, so it pins the operand order.
+fn compose(f: (u64, u64), g: (u64, u64)) -> (u64, u64) {
+    (
+        g.0.wrapping_mul(f.0),
+        g.0.wrapping_mul(f.1).wrapping_add(g.1),
+    )
+}
+
+/// Run `body` on `nranks` ranks cleanly and under a seeded rank profile,
+/// link jitter and fault plan. Asserts that both runs are protocol-clean,
+/// that `compute + wire + wait + injected` reconstructs every rank's clock
+/// to 1e-9, and that the chaotic values equal the clean ones. Returns the
+/// clean run.
+fn clean_and_chaotic<T, F>(nranks: usize, seed: u64, body: F) -> Vec<RankResult<T>>
+where
+    T: Clone + PartialEq + std::fmt::Debug + Send + 'static,
+    F: Fn(&mut Comm) -> T + Clone + Send + Sync + 'static,
+{
+    let check = |r: &[RankResult<T>]| {
+        let log = TraceLog::from_results(r);
+        let violations = check_protocol(&log);
+        assert!(violations.is_empty(), "protocol violations: {violations:?}");
+        for (s, res) in log.summary().ranks.iter().zip(r) {
+            assert!(
+                (s.total() - res.elapsed).abs() < 1e-9,
+                "rank {}: accounted {} vs clock {}",
+                s.rank,
+                s.total(),
+                res.elapsed
+            );
+        }
+    };
+    let clean = spmd(nranks, MachineModel::sp2(), body.clone());
+    check(&clean);
+    let perturb = Perturbation {
+        profile: RankProfile::seeded(nranks, seed, 3.0),
+        link_jitter: 0.3,
+        seed,
+    };
+    let plan = FaultPlan::seeded(seed, nranks, 1);
+    let mut sess = Session::with_chaos(nranks, MachineModel::sp2(), &perturb, plan);
+    let chaotic = sess.run(vec![(); nranks], move |comm, ()| body(comm));
+    check(&chaotic);
+    for (c, x) in clean.iter().zip(&chaotic) {
+        assert_eq!(c.value, x.value, "rank {}: chaos changed the value", c.rank);
+    }
+    clean
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -242,5 +308,72 @@ proptest! {
                 "rank {} left the barrier at {} before the slowest rank ({})",
                 res.rank, res.value, slowest);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `exscan` returns the sequential left fold of the lower ranks' values
+    /// (checked on a vector sum and on non-commutative affine composition),
+    /// sends the documented `2(P-1)` messages of exactly `words` words per
+    /// scan, and is clean and chaos-invariant.
+    #[test]
+    fn exscan_matches_sequential_fold_and_documented_counts(
+        nranks in 1usize..301,
+        len in 0usize..301,
+        seed in any::<u64>(),
+    ) {
+        let affine = move |rank| (val(seed, rank, 1 << 20) | 1, val(seed, rank, 1 << 21));
+        let r = clean_and_chaotic(nranks, seed, move |comm| {
+            let rank = comm.rank();
+            let v: Vec<u64> = (0..len).map(|i| val(seed, rank, i)).collect();
+            let sum = comm.exscan(len as u64, v, vsum);
+            let sent = (comm.sent_messages(), comm.sent_words());
+            let aff = comm.exscan(2, affine(rank), compose);
+            (sum, aff, sent)
+        });
+        let mut sum: Option<Vec<u64>> = None;
+        let mut aff: Option<(u64, u64)> = None;
+        for res in &r {
+            let rank = res.rank;
+            prop_assert_eq!(&res.value.0, &sum, "rank {} sum", rank);
+            prop_assert_eq!(res.value.1, aff, "rank {} affine order", rank);
+            // Per scan: the same messages, each of the scan's word count.
+            let (msgs, words) = res.value.2;
+            prop_assert_eq!(res.sent_messages, 2 * msgs, "rank {} messages", rank);
+            prop_assert_eq!(words, msgs * len as u64, "rank {} words", rank);
+            prop_assert_eq!(res.sent_words - words, msgs * 2, "rank {} words", rank);
+            let mine: Vec<u64> = (0..len).map(|i| val(seed, rank, i)).collect();
+            sum = Some(match sum { Some(s) => vsum(s, mine), None => mine });
+            aff = Some(match aff { Some(a) => compose(a, affine(rank)), None => affine(rank) });
+        }
+        let msgs: u64 = r.iter().map(|x| x.sent_messages).sum();
+        prop_assert_eq!(msgs, 2 * 2 * (nranks as u64 - 1));
+    }
+
+    /// `allreduce_sum_u64s` equals the sequential wrapping sum on every
+    /// rank, sends `2(P-1)` messages of exactly `len` words each, and is
+    /// clean and chaos-invariant.
+    #[test]
+    fn folded_u64_sum_matches_sequential_sum_and_documented_counts(
+        nranks in 1usize..301,
+        len in 0usize..301,
+        seed in any::<u64>(),
+    ) {
+        let r = clean_and_chaotic(nranks, seed, move |comm| {
+            let v: Vec<u64> = (0..len).map(|i| val(seed, comm.rank(), i)).collect();
+            comm.allreduce_sum_u64s(v)
+        });
+        let expect = (0..nranks)
+            .map(|rank| (0..len).map(|i| val(seed, rank, i)).collect::<Vec<u64>>())
+            .reduce(vsum)
+            .unwrap();
+        for res in &r {
+            prop_assert_eq!(&res.value, &expect, "rank {}", res.rank);
+            prop_assert_eq!(res.sent_words, res.sent_messages * len as u64, "rank {}", res.rank);
+        }
+        let msgs: u64 = r.iter().map(|x| x.sent_messages).sum();
+        prop_assert_eq!(msgs, 2 * (nranks as u64 - 1));
     }
 }

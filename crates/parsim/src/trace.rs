@@ -41,10 +41,11 @@ pub enum CollectiveKind {
     Allreduce,
     Alltoallv,
     Reduce,
+    Scan,
 }
 
 /// All kinds, in counter-array order.
-pub const COLLECTIVE_KINDS: [CollectiveKind; 8] = [
+pub const COLLECTIVE_KINDS: [CollectiveKind; 9] = [
     CollectiveKind::Barrier,
     CollectiveKind::Bcast,
     CollectiveKind::Gather,
@@ -53,6 +54,7 @@ pub const COLLECTIVE_KINDS: [CollectiveKind; 8] = [
     CollectiveKind::Allreduce,
     CollectiveKind::Alltoallv,
     CollectiveKind::Reduce,
+    CollectiveKind::Scan,
 ];
 
 impl CollectiveKind {
@@ -67,6 +69,7 @@ impl CollectiveKind {
             CollectiveKind::Allreduce => "allreduce",
             CollectiveKind::Alltoallv => "alltoallv",
             CollectiveKind::Reduce => "reduce",
+            CollectiveKind::Scan => "scan",
         }
     }
 
@@ -209,7 +212,7 @@ pub struct RankSummary {
     /// Blocked clock-rewind attempts.
     pub rewinds_blocked: u64,
     /// Counters per collective kind, indexed like [`COLLECTIVE_KINDS`].
-    pub collectives: [CollectiveStats; 8],
+    pub collectives: [CollectiveStats; COLLECTIVE_KINDS.len()],
 }
 
 impl RankSummary {
@@ -1285,6 +1288,9 @@ mod tests {
             let items: Vec<(u64, usize)> = (0..p).map(|d| (3, d)).collect();
             comm.alltoallv(items);
             comm.reduce(4, 1, comm.rank() as u64, |a, b| a + b);
+            comm.exscan(2, vec![comm.rank() as u64; 2], |a, b| {
+                a.iter().zip(&b).map(|(x, y)| x + y).collect()
+            });
             comm.now()
         })
     }
@@ -1396,6 +1402,37 @@ mod tests {
                 }
             )),
             "checker missed the corruption: {violations:?}"
+        );
+    }
+
+    #[test]
+    fn checker_flags_a_rank_that_skipped_its_scan() {
+        let mut log = TraceLog::from_results(&run_workload());
+        // Rank 2 loses its scan markers, as if it returned before the scan.
+        log.events[2].retain(|ev| {
+            !matches!(
+                ev,
+                TraceEvent::CollectiveEnter {
+                    kind: CollectiveKind::Scan,
+                    ..
+                } | TraceEvent::CollectiveExit {
+                    kind: CollectiveKind::Scan,
+                    ..
+                }
+            )
+        });
+        let violations = check_protocol(&log);
+        assert!(
+            violations.iter().any(|v| matches!(
+                v,
+                ProtocolViolation::CollectiveSequenceMismatch {
+                    rank: 2,
+                    reference: Some(CollectiveKind::Scan),
+                    got: None,
+                    ..
+                }
+            )),
+            "checker missed the skipped scan: {violations:?}"
         );
     }
 

@@ -6,7 +6,8 @@
 //! simulator's typed channels, the coarsest graph is gathered to rank 0 and
 //! partitioned with the serial kernels ([`crate::kway`], [`crate::repart`]),
 //! and the result is refined in parallel during uncoarsening with
-//! boundary-greedy moves under allreduce'd part weights. All control flow
+//! boundary-greedy moves under tree-summed part weights and inflow quotas
+//! from an exclusive scan (no stage message grows with P). All control flow
 //! branches on replicated data only, so the partition is a deterministic
 //! function of `(graph, owner, prev, cfg, caps)` — independent of the
 //! machine model, chaos perturbations, and link jitter. Virtual time, by
@@ -629,12 +630,23 @@ fn project_parts(
 /// serial `kway_balance` sweep cap.
 const MAX_BALANCE_STAGES: usize = 32;
 
+/// One rank's inflow grant for one part: its `demand`, capped by whatever
+/// `headroom` the lower ranks left, where `before` is their summed demand
+/// (saturating). Identical to granting the headroom greedily in rank order:
+/// after ranks `0..r` took their grants, exactly `max(0, headroom − before)`
+/// remains.
+pub(crate) fn inflow_grant(demand: u64, headroom: u64, before: u64) -> u64 {
+    demand.min(headroom.saturating_sub(before))
+}
+
 /// Distributed refinement of one level, in stages. Each stage: exchange
-/// ghost parts with neighbouring ranks, allreduce the global part weights,
-/// propose moves locally, then commit them under a per-rank inflow quota
-/// that every rank computes identically from an allgather of the per-part
-/// demand — so the ceilings can never be exceeded even though ranks move
-/// vertices concurrently.
+/// ghost parts with neighbouring ranks, sum the global part weights up and
+/// down the reduction tree, propose moves locally, then commit them under a
+/// per-rank inflow quota. The quota grants each part's headroom to ranks
+/// greedily in rank order; a rank's share needs only the summed demand of
+/// the ranks below it, one exclusive scan of `nparts` words per message —
+/// so the ceilings can never be exceeded even though ranks move vertices
+/// concurrently, and no stage message grows with P.
 ///
 /// When some part is over its ceiling (the coarsest solve can be forced
 /// over by vertex granularity, and the overshoot survives projection
@@ -710,17 +722,12 @@ fn refine_distributed(
             }
         };
 
-        // Global part weights.
+        // Global part weights, summed at every tree hop.
         let mut local_w = vec![0u64; nparts];
         for i in 0..nloc {
             local_w[part[i] as usize] += dg.vwgt[i];
         }
-        let w = comm.allreduce(nparts as u64, local_w, |mut a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-            a
-        });
+        let w = comm.allreduce_sum_u64s(local_w);
 
         let balance_mode = !balance_dead && (0..nparts).any(|q| w[q] > max_w[q]);
         if !balance_mode {
@@ -829,23 +836,22 @@ fn refine_distributed(
             }
         }
 
-        // Inflow quota: every rank computes the identical greedy allocation
-        // of each part's headroom across ranks (in rank order), from the
-        // allgathered demand. Outflow is ignored, so the allocation is
-        // conservative and the ceilings hold unconditionally.
-        let all_desired = comm.allgather(nparts as u64, desired);
-        let mut quota = vec![0u64; nparts];
-        for q in 0..nparts {
-            let mut avail = max_w[q].saturating_sub(w[q]);
-            for (r, d) in all_desired.iter().enumerate() {
-                let grant = d[q].min(avail);
-                avail -= grant;
-                if r == rank {
-                    quota[q] = grant;
-                    break;
-                }
-            }
-        }
+        // Inflow quota: each part's headroom is granted to ranks greedily
+        // in rank order, which needs only the summed demand of the lower
+        // ranks (an exclusive scan). Outflow is ignored, so the allocation
+        // is conservative and the ceilings hold unconditionally.
+        let before = comm.exscan(nparts as u64, desired.clone(), |a, b| {
+            a.iter()
+                .zip(&b)
+                .map(|(x, y)| x.saturating_add(*y))
+                .collect()
+        });
+        let mut quota: Vec<u64> = (0..nparts)
+            .map(|q| {
+                let lower = before.as_ref().map_or(0, |b| b[q]);
+                inflow_grant(desired[q], max_w[q].saturating_sub(w[q]), lower)
+            })
+            .collect();
 
         // Commit in proposal order while quota lasts.
         let mut moves = 0u64;
@@ -858,7 +864,7 @@ fn refine_distributed(
                 moves += 1;
             }
         }
-        if comm.allreduce_sum_u64(moves) == 0 {
+        if comm.allreduce_sum_u64s(vec![moves])[0] == 0 {
             if balance_mode {
                 // The drain is stuck (no vertex fits anywhere better);
                 // switch to gain stages rather than spinning.
@@ -955,6 +961,31 @@ fn gather_solve_bcast(
 // Entry points
 // ---------------------------------------------------------------------------
 
+/// The code path [`repartition_body`] takes for a given input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MultilevelRoute {
+    /// Parallel coarsening, rank-0 coarsest solve, distributed refinement.
+    Distributed,
+    /// Rows gathered to rank 0, serial kernel there, result broadcast: graphs
+    /// at or below the coarsening target and every dual-constraint input.
+    RankZeroGather,
+    /// A single part: no work and no communication.
+    SinglePart,
+}
+
+/// Which path [`repartition_body`] runs for an `n`-vertex graph with the
+/// optional second weight vector `w2` under `cfg` (the rule the body itself
+/// branches on).
+pub fn multilevel_route(n: usize, w2: Option<&[u64]>, cfg: &PartitionConfig) -> MultilevelRoute {
+    if cfg.nparts == 1 {
+        MultilevelRoute::SinglePart
+    } else if w2.is_some_and(|w2| !dual_uniform(w2)) || n <= cfg.coarsen_target() {
+        MultilevelRoute::RankZeroGather
+    } else {
+        MultilevelRoute::Distributed
+    }
+}
+
 /// The SPMD body of the distributed repartitioner: call from every rank of a
 /// session (or [`spmd`] run) at the same program point.
 ///
@@ -992,15 +1023,16 @@ pub fn repartition_body(
     if let Some(w2) = w2 {
         assert_eq!(w2.len(), n, "one second weight per vertex");
     }
-    if cfg.nparts == 1 {
-        return vec![0; n];
+    match multilevel_route(n, w2, cfg) {
+        MultilevelRoute::SinglePart => return vec![0; n],
+        MultilevelRoute::RankZeroGather => {
+            let w2 = w2.filter(|w2| !dual_uniform(w2));
+            return gather_solve_bcast(comm, g, w2, owner, prev, cfg, caps, vertex_units);
+        }
+        MultilevelRoute::Distributed => {}
     }
     let frac = capacity_fractions(caps, cfg.nparts);
     let frac = frac.as_deref();
-    let w2 = w2.filter(|w2| !dual_uniform(w2));
-    if w2.is_some() || n <= cfg.coarsen_target() {
-        return gather_solve_bcast(comm, g, w2, owner, prev, cfg, caps, vertex_units);
-    }
 
     let rank = comm.rank();
     let p = comm.nranks();
@@ -1260,6 +1292,74 @@ mod tests {
             (share - 0.4).abs() < 0.07,
             "double-capacity part carries {share:.3}, expected ≈0.4"
         );
+    }
+
+    /// FNV-1a over the little-endian bytes of the part ids.
+    fn fnv1a(part: &[u32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in part.iter().flat_map(|q| q.to_le_bytes()) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Golden partitions of the distributed multilevel path (graphs above
+    /// `coarsen_target`, `nparts = P`), seeded from a skewed previous
+    /// partition and fresh. Any change to the refinement's communication
+    /// must leave these hashes alone: only words, messages and time may move.
+    #[test]
+    fn multilevel_partitions_match_golden_hashes() {
+        // (P, grid nx·ny·nz, FNV-1a seeded, FNV-1a fresh)
+        let cases = [
+            (
+                16,
+                [12, 12, 8],
+                0xaa16_1b36_18ec_6e0d,
+                0x648b_1530_d84c_cb6c,
+            ),
+            (
+                64,
+                [16, 16, 8],
+                0x0f63_945b_c323_bb7c,
+                0xfbe7_07bf_7f85_ffbe,
+            ),
+            (
+                256,
+                [20, 20, 12],
+                0x71ea_db3e_bccc_fded,
+                0x3560_7013_4b5f_5196,
+            ),
+        ];
+        let mut got = Vec::new();
+        for &(p, [nx, ny, nz], _, _) in &cases {
+            let mut g = grid3d(nx, ny, nz);
+            let cfg = PartitionConfig::new(p);
+            assert!(g.n() > cfg.coarsen_target(), "P={p}: graph too small");
+            let prev = partition_kway(&g, &cfg);
+            for v in 0..g.n() {
+                if prev[v].is_multiple_of(5) {
+                    g.vwgt.to_mut()[v] = 3;
+                }
+            }
+            let run = |owner: &[u32], prev: Option<&[u32]>| {
+                repartition_distributed(
+                    &g,
+                    owner,
+                    prev,
+                    &cfg,
+                    &vec![1.0; p],
+                    p,
+                    MachineModel::sp2(),
+                    0.5,
+                )
+                .part
+            };
+            let seeded = run(&prev, Some(&prev));
+            let fresh = run(&block_owner(g.n(), p), None);
+            got.push((p, fnv1a(&seeded), fnv1a(&fresh)));
+        }
+        let want: Vec<(usize, u64, u64)> = cases.iter().map(|c| (c.0, c.2, c.3)).collect();
+        assert_eq!(got, want, "distributed multilevel partitions moved");
     }
 
     #[test]

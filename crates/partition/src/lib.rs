@@ -36,7 +36,8 @@ mod sfc;
 pub use bisect::{bisect, grow_bisection, refine_bisection};
 pub use coarsen::{coarsen_once, contract, heavy_edge_matching};
 pub use distributed::{
-    repartition_body, repartition_body_dual, repartition_distributed, DistPartition,
+    multilevel_route, repartition_body, repartition_body_dual, repartition_distributed,
+    DistPartition, MultilevelRoute,
 };
 pub use graph::{Graph, GraphView};
 pub use kway::{

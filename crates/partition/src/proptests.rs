@@ -9,7 +9,9 @@ use proptest::prelude::*;
 
 use plum_parsim::{spmd, MachineModel};
 
-use crate::distributed::{build_level0, contract_distributed, parallel_hem, DistGraph};
+use crate::distributed::{
+    build_level0, contract_distributed, inflow_grant, parallel_hem, DistGraph,
+};
 use crate::graph::Graph;
 use crate::kway::{capacity_fractions, part_ceilings, partition_kway, PartitionConfig};
 use crate::metrics::part_weights;
@@ -378,5 +380,66 @@ proptest! {
             "dual diffusion worsened the binding imbalance: {} -> {}",
             before, after
         );
+    }
+}
+
+/// The inflow allocation as a rank-order greedy loop: rank 0 takes what it
+/// asks for out of each part's headroom, rank 1 takes from what is left, and
+/// so on. `grants[r][q]` is rank `r`'s grant for part `q`.
+fn greedy_grants(demands: &[Vec<u64>], headroom: &[u64]) -> Vec<Vec<u64>> {
+    let mut grants = vec![vec![0u64; headroom.len()]; demands.len()];
+    for (q, &h) in headroom.iter().enumerate() {
+        let mut avail = h;
+        for (r, d) in demands.iter().enumerate() {
+            let grant = d[q].min(avail);
+            avail -= grant;
+            grants[r][q] = grant;
+        }
+    }
+    grants
+}
+
+/// Draw from one of four magnitude classes: zero, small, full range, and
+/// within 2^16 of `u64::MAX`.
+fn magnitude(x: u64) -> u64 {
+    match x & 3 {
+        0 => 0,
+        1 => (x >> 2) % 1000,
+        2 => x,
+        _ => u64::MAX - ((x >> 2) & 0xFFFF),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// (h) The prefix-sum inflow grant, `min(d_r, H − Σ_{s<r} d_s)` with a
+    /// saturating prefix, equals the rank-order greedy allocation for every
+    /// rank and part, including zero headroom, headroom near `u64::MAX` and
+    /// demands whose sum overflows.
+    #[test]
+    fn prefix_sum_grant_equals_rank_order_greedy(
+        p in 1usize..301,
+        nparts in 1usize..301,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = crate::rng::Rng::new(seed);
+        let demands: Vec<Vec<u64>> = (0..p)
+            .map(|_| (0..nparts).map(|_| magnitude(rng.next_u64())).collect())
+            .collect();
+        let headroom: Vec<u64> = (0..nparts).map(|_| magnitude(rng.next_u64())).collect();
+        let greedy = greedy_grants(&demands, &headroom);
+        let mut before = vec![0u64; nparts];
+        for (r, d) in demands.iter().enumerate() {
+            for q in 0..nparts {
+                let grant = inflow_grant(d[q], headroom[q], before[q]);
+                prop_assert_eq!(
+                    grant, greedy[r][q],
+                    "rank {} part {}: demand {} headroom {} before {}",
+                    r, q, d[q], headroom[q], before[q]
+                );
+                before[q] = before[q].saturating_add(d[q]);
+            }
+        }
     }
 }

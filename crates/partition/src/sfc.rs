@@ -153,12 +153,28 @@ fn part_home(p: usize, nparts: usize, nranks: usize) -> usize {
     p * nranks / nparts
 }
 
+/// Multiplier of part `q` in the part-weight checksum: fixed and odd, so
+/// every part's weight reaches the checksum through a bijection mod 2^64.
+fn checksum_coeff(q: usize) -> u64 {
+    (q as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+}
+
+/// Linear checksum `Σ_q c_q·w_q` (wrapping) of the part weights that the
+/// vertices with `mine(v)` contribute. Linear, so the ranks' checksums sum
+/// to the checksum of the global part weights.
+fn weight_checksum(w: &[u64], part: &[u32], mine: impl Fn(usize) -> bool) -> u64 {
+    (0..part.len()).filter(|&v| mine(v)).fold(0u64, |acc, v| {
+        acc.wrapping_add(checksum_coeff(part[v] as usize).wrapping_mul(w[v]))
+    })
+}
+
 /// Shared tail of the SPMD body: send each locally-owned vertex that moved
-/// to its destination part's home rank, then cross-check allreduce'd part
-/// weights against the replicated result. A second weight vector widens the
-/// per-item payload to (key, id, w1, w2) and is cross-checked by its own
-/// allreduce; without one, the traffic — and thus the virtual time — is
-/// the single-constraint protocol's.
+/// to its destination part's home rank, then cross-check the replicated
+/// result against the ranks' own rows through a one-word linear checksum of
+/// the part weights per constraint, summed up the reduction tree. A second
+/// weight vector widens the per-item payload to (key, id, w1, w2) and adds
+/// its checksum word; without one, the traffic — and thus the virtual time
+/// — is the single-constraint protocol's.
 fn exchange_and_check(
     comm: &mut Comm,
     w1: &[u64],
@@ -190,20 +206,18 @@ fn exchange_and_check(
         .collect();
     let received = comm.alltoallv_sparse(items);
     let received_total: u64 = received.iter().map(|&(_, c)| c).sum();
-    for (w, what) in std::iter::once((w1, "")).chain(w2.map(|w2| (w2, "second-constraint "))) {
-        let mut local_w = vec![0u64; nparts];
-        for v in 0..part.len() {
-            if owner[v] as usize == rank {
-                local_w[part[v] as usize] += w[v];
-            }
-        }
-        let global_w = comm.allreduce(nparts as u64, local_w, |a, b| {
-            a.iter().zip(&b).map(|(x, y)| x + y).collect()
-        });
+    let weights: Vec<&[u64]> = std::iter::once(w1).chain(w2).collect();
+    let local: Vec<u64> = weights
+        .iter()
+        .map(|w| weight_checksum(w, part, |v| owner[v] as usize == rank))
+        .collect();
+    let global = comm.allreduce_sum_u64s(local);
+    for (k, w) in weights.iter().enumerate() {
         assert_eq!(
-            global_w,
-            weights_of(w, part, nparts),
-            "allreduce'd {what}part weights diverged"
+            global[k],
+            weight_checksum(w, part, |_| true),
+            "constraint {} part-weight checksum diverged",
+            k + 1
         );
     }
     // Every triple sent somewhere was received by exactly one home rank.
@@ -433,6 +447,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn weight_checksum_is_linear_over_ranks_and_sees_one_moved_vertex() {
+        let n = 97;
+        let w: Vec<u64> = (0..n as u64).map(|v| 1 + v * v % 11).collect();
+        let mut part: Vec<u32> = (0..n).map(|v| (v % 7) as u32).collect();
+        let owner: Vec<u32> = (0..n).map(|v| (v * 5 / n) as u32).collect();
+        let global = weight_checksum(&w, &part, |_| true);
+        let summed = (0..5u32)
+            .map(|r| weight_checksum(&w, &part, |v| owner[v] == r))
+            .fold(0u64, u64::wrapping_add);
+        assert_eq!(
+            summed, global,
+            "per-rank checksums must sum to the global one"
+        );
+        part[40] = (part[40] + 1) % 7;
+        assert_ne!(weight_checksum(&w, &part, |_| true), global);
     }
 
     #[test]
